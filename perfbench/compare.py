@@ -148,9 +148,7 @@ def spread(spec, path):
             bound = m["bound"]
             status = ("steady" if rel < bound / 3 else
                       "within bound" if rel <= bound else "TOO WIDE")
-            if m["name"] == "setup_s":
-                status += " (not gated)"
-            elif rel > bound:
+            if rel > bound:
                 worst = 1
             print(f"{w:<14} {m['name']:<18} {len(values):>3} "
                   f"{fmt(med):>12} {rel:>11.3f} {bound:>6}  {status}")

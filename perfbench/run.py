@@ -34,10 +34,6 @@ ROOT = HERE.parent
 BUILD = ROOT / ".bench_build" / "perfbench"
 SPANS = ROOT / ".bench_build" / "spans"
 RUN_TIMEOUT_S = 170
-# Workloads that run on demand but are not in BENCHMARK.json: kv-server's
-# latency moves with the host's placement of its two workers by more than
-# any bound allows (see README.md).
-UNGATED = ["kv-server"]
 
 
 def fail(msg):
@@ -128,7 +124,7 @@ def main():
     args = ap.parse_args()
 
     spec = load_spec()
-    names = [w["name"] for w in spec["workloads"]] + UNGATED
+    names = [w["name"] for w in spec["workloads"]]
     if args.workload not in names:
         fail(f"unknown workload {args.workload!r} (have {', '.join(names)})")
     if not 0 < args.seconds <= 120:

@@ -17,7 +17,10 @@
 // Most blocks run unclocked and give throughput and overhead_x (STM time
 // over SeqPolicy time for the same block); every eighth block times each op
 // and gives the latency percentiles, so per-op clock reads stay out of the
-// throughput figures.
+// throughput figures. Each round's SeqPolicy replay also sets the factor
+// that scales the end-to-end timings to the reference speed
+// (ReferenceSpeed.h), and every 100 ms one round compiles the six TMIR
+// programs for compile_p50_us.
 //
 //===----------------------------------------------------------------------===//
 
@@ -51,9 +54,16 @@ constexpr int64_t ListKeys = 200;
 constexpr std::size_t StreamLen = 1 << 16; ///< ops per structure, cycled
 constexpr std::size_t Block = 64;
 constexpr unsigned ClockEvery = 8;
+/// Latency samples kept (evenly thinned beyond that).
 constexpr std::size_t LatencyCap = 1 << 20;
-/// Latency samples kept per window (evenly thinned beyond that).
-constexpr std::size_t WindowCap = 1 << 14;
+/// Nominal SeqPolicy times the end-to-end timings are scaled to: per op of
+/// the replay, and per preloaded key of building the SeqPolicy set. About
+/// what an unloaded 4-vCPU Intel Xeon virtual machine takes.
+constexpr double NominalSeqOpNs = 250;
+constexpr double NominalPreloadNs = 150;
+/// containers-1t compiles one round of the six TMIR programs this often
+/// (about 2% of its time), for compile_p50_us.
+constexpr int64_t CompileEveryNs = 100'000'000;
 
 enum class OpKind : uint8_t { Contains, Insert, Erase };
 
@@ -199,6 +209,13 @@ Inputs makeInputs(uint64_t Seed) {
   return In;
 }
 
+std::size_t preloadSize(const Inputs &In) {
+  std::size_t N = 0;
+  for (const auto &Keys : In.Preload)
+    N += Keys.size();
+  return N;
+}
+
 struct State {
   Inputs In;
   std::unique_ptr<Set<ObjStmOptPolicy>> Stm;
@@ -212,39 +229,42 @@ struct PhaseResult {
   uint64_t Mismatches = 0; ///< ops whose result differed from SeqPolicy's
   std::array<int64_t, NumKinds> StmNs{}, SeqNs{}; ///< unclocked blocks only
   std::array<uint64_t, NumKinds> UnclockedOps{};
+  double ScaledStmNs = 0; ///< unclocked STM time at the reference speed
+  /// Clocked op latencies (raw ns per structure; us at the reference speed
+  /// over all structures, and of the `contains` ops alone).
   std::array<std::optional<SampleSeries>, NumKinds> OpNs;
-  /// Per time window: clocked op latencies, those of `contains` ops, and
-  /// the unclocked ops and STM time that give the window's throughput.
-  std::vector<SampleSeries> LatencyUs, ContainsUs;
-  std::vector<uint64_t> WinOps;
-  std::vector<int64_t> WinNs;
+  std::optional<SampleSeries> LatencyUs, ContainsUs;
   double Seconds = 0;
 };
 
-/// Runs blocks round-robin until \p Seconds have passed. \p Tracer is set
-/// iff the STM side is the traced set.
+/// Runs blocks round-robin until \p Seconds have passed, recording each
+/// round's SeqPolicy replay in \p Speed. \p Tracer is set iff the STM side
+/// is the traced set; \p Compile, if set, gets one round every
+/// CompileEveryNs.
 template <typename P>
 PhaseResult runPhase(Set<P> &Stm, Set<SeqPolicy> &Seq, const Inputs &In,
-                     double Seconds, Tracer *Tr) {
+                     double Seconds, ReferenceSpeed &Speed, Tracer *Tr,
+                     CompileSampler *Compile) {
   PhaseResult R;
   for (auto &S : R.OpNs)
     S.emplace(LatencyCap / NumKinds);
-  const std::size_t NumWindows = windowCount(Seconds);
-  for (std::size_t W = 0; W < NumWindows; ++W) {
-    R.LatencyUs.emplace_back(WindowCap);
-    R.ContainsUs.emplace_back(WindowCap);
-  }
-  R.WinOps.assign(NumWindows, 0);
-  R.WinNs.assign(NumWindows, 0);
+  R.LatencyUs.emplace(LatencyCap);
+  R.ContainsUs.emplace(LatencyCap);
   ActiveTracer = Tr;
   bool Results[Block];
+  float ClockedNs[NumKinds][Block];
   const int64_t Start = nowNs();
   const auto Duration = static_cast<int64_t>(Seconds * 1e9);
+  int64_t NextCompile = Start + CompileEveryNs / 2;
   uint64_t Round = 0;
   for (int64_t Now = Start; Now - Start < Duration; Now = nowNs(), ++Round) {
-    const std::size_t Win = windowOf(Now - Start, Duration, NumWindows);
+    if (Compile && Now >= NextCompile) {
+      Compile->round(Speed.factor());
+      NextCompile += CompileEveryNs;
+    }
     const std::size_t Base = (Round * Block) % StreamLen;
     const bool Clocked = Tr == nullptr && Round % ClockEvery == 1;
+    int64_t RoundStmNs = 0, RoundSeqNs = 0;
     for (unsigned K = 0; K < NumKinds; ++K) {
       const Op *Ops = &In.Streams[K][Base];
       int64_t T0 = nowNs();
@@ -253,11 +273,7 @@ PhaseResult runPhase(Set<P> &Stm, Set<SeqPolicy> &Seq, const Inputs &In,
         for (std::size_t I = 0; I < Block; ++I) {
           Results[I] = Stm.apply(K, Ops[I]);
           int64_t Now = nowNs();
-          float Ns = static_cast<float>(Now - Prev);
-          R.OpNs[K]->push(Ns);
-          R.LatencyUs[Win].push(Ns / 1e3f);
-          if (Ops[I].Kind == OpKind::Contains)
-            R.ContainsUs[Win].push(Ns / 1e3f);
+          ClockedNs[K][I] = static_cast<float>(Now - Prev);
           Prev = Now;
         }
       } else if (Tr) {
@@ -274,12 +290,27 @@ PhaseResult runPhase(Set<P> &Stm, Set<SeqPolicy> &Seq, const Inputs &In,
       for (std::size_t I = 0; I < Block; ++I)
         R.Mismatches += Seq.apply(K, Ops[I]) != Results[I];
       int64_t T2 = nowNs();
+      RoundSeqNs += T2 - T1;
       if (!Clocked) {
         R.StmNs[K] += T1 - T0;
         R.SeqNs[K] += T2 - T1;
         R.UnclockedOps[K] += Block;
-        R.WinOps[Win] += Block;
-        R.WinNs[Win] += T1 - T0;
+        RoundStmNs += T1 - T0;
+      }
+    }
+    Speed.record(double(RoundSeqNs), double(NumKinds * Block));
+    const double F = Speed.factor();
+    R.ScaledStmNs += RoundStmNs * F;
+    if (Clocked) {
+      for (unsigned K = 0; K < NumKinds; ++K) {
+        const Op *Ops = &In.Streams[K][Base];
+        for (std::size_t I = 0; I < Block; ++I) {
+          auto Us = static_cast<float>(ClockedNs[K][I] * F / 1e3);
+          R.OpNs[K]->push(ClockedNs[K][I]);
+          R.LatencyUs->push(Us);
+          if (Ops[I].Kind == OpKind::Contains)
+            R.ContainsUs->push(Us);
+        }
       }
     }
   }
@@ -321,13 +352,6 @@ uint64_t finalStateMismatches(Set<P> &Stm, Set<SeqPolicy> &Seq,
   return Bad;
 }
 
-std::vector<std::vector<float>> samplesOf(const std::vector<SampleSeries> &Ws) {
-  std::vector<std::vector<float>> Out;
-  for (const SampleSeries &W : Ws)
-    Out.push_back(W.samples());
-  return Out;
-}
-
 double stmOverNs(const PhaseResult &P) {
   int64_t Stm = 0, Seq = 0;
   for (unsigned K = 0; K < NumKinds; ++K) {
@@ -337,18 +361,18 @@ double stmOverNs(const PhaseResult &P) {
   return ratio(double(Stm), double(Seq));
 }
 
-uint64_t unclockedOps(const PhaseResult &P) {
-  uint64_t N = 0;
-  for (uint64_t Ops : P.UnclockedOps)
-    N += Ops;
-  return N;
-}
-
 int64_t unclockedStmNs(const PhaseResult &P) {
   int64_t Ns = 0;
   for (int64_t T : P.StmNs)
     Ns += T;
   return Ns;
+}
+
+uint64_t unclockedOps(const PhaseResult &P) {
+  uint64_t N = 0;
+  for (uint64_t Ops : P.UnclockedOps)
+    N += Ops;
+  return N;
 }
 
 } // namespace
@@ -357,21 +381,29 @@ Result runContainers(const RunOptions &O) {
   Result R;
   double SetupS = 0;
   std::unique_ptr<State> S = repeatedSetup(
-      [&] {
+      [&](ReferenceSpeed &SetupSpeed) {
         auto St = std::make_unique<State>();
         St->In = makeInputs(O.Seed);
         St->Stm = makeSet<ObjStmOptPolicy>(St->In);
+        int64_t T0 = nowNs();
         St->Seq = makeSet<SeqPolicy>(St->In);
+        SetupSpeed.record(double(nowNs() - T0), double(preloadSize(St->In)));
         if (O.Trace) {
           St->Traced = makeSet<TracedPolicy>(St->In);
           St->TracedSeq = makeSet<SeqPolicy>(St->In);
         }
         return St;
       },
-      SetupS);
+      NominalPreloadNs, SetupS);
 
+  ReferenceSpeed Speed(NominalSeqOpNs);
+
+  std::optional<CompileSampler> Compile;
+  if (!O.Trace)
+    Compile.emplace(O);
   double PlainSeconds = O.Trace ? O.Seconds / 2 : O.Seconds;
-  PhaseResult P = runPhase(*S->Stm, *S->Seq, S->In, PlainSeconds, nullptr);
+  PhaseResult P = runPhase(*S->Stm, *S->Seq, S->In, PlainSeconds, Speed,
+                           nullptr, Compile ? &*Compile : nullptr);
   R.Attempted += P.Ops;
   R.check("container ops whose result differs from the SeqPolicy replay",
           P.Mismatches);
@@ -381,39 +413,39 @@ Result runContainers(const RunOptions &O) {
           finalStateMismatches(*S->Stm, *S->Seq, S->In));
 
   if (!O.Trace) {
-    std::vector<std::vector<float>> LatWin = samplesOf(P.LatencyUs);
-    std::vector<std::size_t> Quiet = quietWindows(LatWin, "op latency");
-    std::vector<float> Lat = pooled(LatWin, Quiet);
-    std::vector<float> Contains = pooled(samplesOf(P.ContainsUs), Quiet);
-    uint64_t QuietOps = 0;
-    int64_t QuietNs = 0;
-    for (std::size_t W : Quiet) {
-      QuietOps += P.WinOps[W];
-      QuietNs += P.WinNs[W];
-    }
-    CompileSampler Compile(O);
-    for (unsigned Round = 0; Round < 150; ++Round)
-      Compile.round();
+    std::vector<float> Lat = P.LatencyUs->samples();
+    std::vector<float> Contains = P.ContainsUs->samples();
+    std::vector<float> RawLat;
+    for (auto &OpNs : P.OpNs)
+      for (float Ns : OpNs->samples())
+        RawLat.push_back(Ns / 1e3f);
     R.add("setup_s", SetupS, "s");
-    R.add("throughput_ops_s", ratio(double(QuietOps), QuietNs / 1e9), "1/s");
+    R.add("throughput_ops_s",
+          ratio(double(unclockedOps(P)), P.ScaledStmNs / 1e9), "1/s");
     R.add("latency_p50_us", median(Lat, "op latency"), "us");
     R.add("latency_p99_us", percentile(Lat, 99.0, "op latency"), "us");
     R.add("scan_p99_us", percentile(Contains, 99.0, "contains latency"), "us");
     R.add("overhead_x", stmOverNs(P), "x");
-    R.add("compile_p50_us", Compile.p50Us(), "us");
+    R.add("compile_p50_us", Compile->p50Us(), "us");
     R.add("peak_rss_mb", peakRssMb(), "MiB");
     R.note("ops " + std::to_string(P.Ops) + ", latency samples " +
            std::to_string(Lat.size()) + ", contains samples " +
-           std::to_string(Contains.size()) + " from the quietest " +
-           std::to_string(Quiet.size()) + " of " + std::to_string(LatWin.size()) +
-           " windows");
+           std::to_string(Contains.size()) + ", compile rounds " +
+           std::to_string(Compile->rounds()));
+    R.note("raw: throughput " +
+           std::to_string(ratio(double(unclockedOps(P)),
+                                unclockedStmNs(P) / 1e9)) +
+           " 1/s, latency p50 " + std::to_string(median(RawLat, "op latency")) +
+           " us, SeqPolicy op " + std::to_string(Speed.unitNs()) +
+           " ns (nominal " + std::to_string(NominalSeqOpNs) + ")");
     return R;
   }
 
   // Traced half: the same op stream on the TracedPolicy set.
   Tracer Tr;
   CounterWindow W;
-  PhaseResult T = runPhase(*S->Traced, *S->TracedSeq, S->In, O.Seconds / 2, &Tr);
+  PhaseResult T = runPhase(*S->Traced, *S->TracedSeq, S->In, O.Seconds / 2,
+                           Speed, &Tr, nullptr);
   W.finish();
   R.Attempted += T.Ops;
   R.check("traced container ops whose result differs from the SeqPolicy replay",
@@ -438,8 +470,8 @@ Result runContainers(const RunOptions &O) {
   R.add("containers.opens_per_op",
         ratio(double(St.OpensForRead + St.OpensForUpdate), double(T.Ops)),
         "count");
-  double PlainNsPerOp = ratio(double(unclockedStmNs(P)), double(unclockedOps(P)));
-  double TracedNsPerOp = ratio(double(unclockedStmNs(T)), double(unclockedOps(T)));
+  double PlainNsPerOp = ratio(P.ScaledStmNs, double(unclockedOps(P)));
+  double TracedNsPerOp = ratio(T.ScaledStmNs, double(unclockedOps(T)));
   R.add("bench.trace_overhead_frac", ratio(TracedNsPerOp, PlainNsPerOp) - 1.0,
         "fraction");
   if (!O.OutDir.empty() &&

@@ -7,8 +7,8 @@
 /// \file
 /// Per-layer metrics the benchmark derives without instrumenting src/: it
 /// diffs the modules' public statistics snapshots around a measured window
-/// (stm::TxStats, txn::CmStats, the admission scheduler, the epoch
-/// reclaimer) and folds in what its own Tracer saw.
+/// (stm::TxStats, txn::CmStats, the epoch reclaimer) and folds in what its
+/// own Tracer saw.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +21,6 @@
 
 #include "gc/EpochManager.h"
 #include "stm/Stm.h"
-#include "txn/AdmissionScheduler.h"
 #include "txn/CmStats.h"
 
 #include <vector>
@@ -36,7 +35,6 @@ public:
     otm::stm::TxManager::current().flushStats();
     otm::stm::Stm::resetGlobalStats();
     Cm0 = otm::txn::CmStats::instance().snapshot();
-    Sched0 = otm::txn::AdmissionScheduler::instance().stats();
     Freed0 = otm::gc::EpochManager::global().freedCount();
   }
 
@@ -44,24 +42,17 @@ public:
     otm::stm::TxManager::current().flushStats();
     Tx = otm::stm::Stm::globalStats();
     otm::txn::CmStatsSnapshot Cm1 = otm::txn::CmStats::instance().snapshot();
-    otm::txn::SchedStatsSnapshot Sched1 =
-        otm::txn::AdmissionScheduler::instance().stats();
     ConflictWaits = Cm1.ConflictWaits - Cm0.ConflictWaits;
     FallbackEntries = Cm1.FallbackEntries - Cm0.FallbackEntries;
-    Queued = Sched1.Queued - Sched0.Queued;
-    QueueWaitUs = Sched1.QueueWaitMicros - Sched0.QueueWaitMicros;
-    GateFlipsOn = Sched1.GateFlipsOn - Sched0.GateFlipsOn;
     Freed = otm::gc::EpochManager::global().freedCount() - Freed0;
   }
 
   otm::stm::TxStats Tx;
   uint64_t ConflictWaits = 0, FallbackEntries = 0;
-  uint64_t Queued = 0, QueueWaitUs = 0, GateFlipsOn = 0;
   uint64_t Freed = 0;
 
 private:
   otm::txn::CmStatsSnapshot Cm0;
-  otm::txn::SchedStatsSnapshot Sched0;
   uint64_t Freed0 = 0;
 };
 
@@ -87,10 +78,6 @@ inline void addCounterMetrics(Result &R, const CounterWindow &W,
   R.add("stm.snapshot_restarts_per_commit",
         ratio(double(S.SnapshotUpgrades + S.SnapshotRefreshes), Commits),
         "count");
-  R.add("txn.sched_queued_frac", ratio(double(W.Queued), Req), "fraction");
-  R.add("txn.sched_wait_us_per_request", ratio(double(W.QueueWaitUs), Req),
-        "us");
-  R.add("txn.sched_gate_flips", double(W.GateFlipsOn), "count");
   R.add("txn.cm_conflict_waits_per_request",
         ratio(double(W.ConflictWaits), Req), "count");
   R.add("txn.serial_fallbacks", double(W.FallbackEntries), "count");

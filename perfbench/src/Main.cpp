@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// perfbench --workload <kv-server|containers-1t|tmir-pipeline> --seed <n>
+// perfbench --workload <containers-1t|tmir-pipeline> --seed <n>
 //           --seconds <s> --trace <0|1> --programs <dir> [--out-dir <dir>]
 //
 // Prints the host fingerprint, human-readable notes, and as its last line
@@ -29,7 +29,7 @@ namespace {
 int usage(const char *Why) {
   std::fprintf(stderr,
                "perfbench: %s\nusage: perfbench --workload "
-               "<kv-server|containers-1t|tmir-pipeline> --seed <n> --seconds "
+               "<containers-1t|tmir-pipeline> --seed <n> --seconds "
                "<s> --trace <0|1> --programs <dir> [--out-dir <dir>]\n",
                Why);
   return 2;
@@ -78,9 +78,7 @@ int main(int Argc, char **Argv) {
 
   Result R;
   try {
-    if (Workload == "kv-server")
-      R = runKvServer(O);
-    else if (Workload == "containers-1t")
+    if (Workload == "containers-1t")
       R = runContainers(O);
     else if (Workload == "tmir-pipeline")
       R = runTmirPipeline(O);

@@ -38,8 +38,7 @@ inline int64_t nowNs() {
 }
 
 enum class SpanName : uint16_t {
-  Request,    ///< kv-server: one request, from send to completion
-  Attempt,    ///< kv-server: one execution of the transaction body
+  Attempt,    ///< one execution of the transaction body
   OpenRead,   ///< barrier: TxManager::openForRead
   OpenUpdate, ///< barrier: TxManager::openForUpdate
   LogUndo,    ///< barrier: TxManager::logUndo
@@ -51,10 +50,9 @@ enum class SpanName : uint16_t {
 };
 
 inline const char *spanNameStr(SpanName N) {
-  static const char *const Names[] = {"request", "attempt",  "open_read",
-                                      "open_update", "log_undo", "op",
-                                      "parse",   "verify",   "optimize",
-                                      "run"};
+  static const char *const Names[] = {"attempt", "open_read", "open_update",
+                                      "log_undo", "op",        "parse",
+                                      "verify",  "optimize",  "run"};
   return Names[static_cast<unsigned>(N)];
 }
 
@@ -64,7 +62,7 @@ struct Span {
   int64_t Start = 0;   ///< steady_clock ns
   int64_t End = 0;     ///< steady_clock ns
   uint32_t Parent = NoParent; ///< index in the same SpanLog
-  SpanName Name = SpanName::Request;
+  SpanName Name = SpanName::Op;
 
   int64_t duration() const { return End - Start; }
 };

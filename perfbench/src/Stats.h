@@ -21,8 +21,6 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace perfbench {
@@ -60,58 +58,6 @@ template <typename T> double median(std::vector<T> &Samples, const char *What) {
 /// Median of a by-value copy (for small vectors the caller keeps ordered).
 template <typename T> double medianOf(std::vector<T> Samples, const char *What) {
   return percentile(Samples, 50.0, What);
-}
-
-/// Length of the windows a run is split into (see quietWindows).
-constexpr double WindowSeconds = 0.5;
-
-/// Number of whole windows in a measured interval of \p Seconds (at least 1).
-inline std::size_t windowCount(double Seconds) {
-  return static_cast<std::size_t>(std::max(1.0, std::floor(Seconds / WindowSeconds)));
-}
-
-/// Window of a moment \p Elapsed ns into an interval of \p Total ns split
-/// into \p N windows.
-inline std::size_t windowOf(int64_t Elapsed, int64_t Total, std::size_t N) {
-  if (Elapsed <= 0 || Total <= 0)
-    return 0;
-  return std::min<std::size_t>(
-      N - 1, static_cast<std::size_t>(Elapsed * static_cast<int64_t>(N) / Total));
-}
-
-/// A run split into time windows is summarised by its quietest tenth of
-/// windows. On a host shared with other tenants, windows in which the host
-/// stalled or slowed the benchmark read a p99 of milliseconds, and they come
-/// in bursts of seconds; while fewer than nine tenths of a run's windows are
-/// disturbed, the quietest tenth reads as an undisturbed window does. A
-/// change that slows every window moves it; one that slows fewer than nine
-/// tenths of them does not.
-constexpr double QuietShare = 0.1;
-
-/// Indices of the quietest tenth of \p Ws (at least one window), ranked by
-/// each window's p99 (every window must meet the ten-beyond rule).
-template <typename Windows>
-std::vector<std::size_t> quietWindows(Windows &Ws, const char *What) {
-  std::vector<std::pair<double, std::size_t>> Ranked;
-  for (std::size_t I = 0; I < Ws.size(); ++I)
-    Ranked.push_back({percentile(Ws[I], 99.0, What), I});
-  if (Ranked.empty())
-    throw std::runtime_error(std::string("no windows for ") + What);
-  std::sort(Ranked.begin(), Ranked.end());
-  auto Keep = static_cast<std::size_t>(std::ceil(QuietShare * double(Ranked.size())));
-  std::vector<std::size_t> Quiet;
-  for (std::size_t I = 0; I < std::max<std::size_t>(Keep, 1); ++I)
-    Quiet.push_back(Ranked[I].second);
-  return Quiet;
-}
-
-/// The samples of windows \p Idx of \p Ws, pooled.
-template <typename Windows>
-auto pooled(const Windows &Ws, const std::vector<std::size_t> &Idx) {
-  std::remove_cvref_t<decltype(Ws[0])> Out;
-  for (std::size_t I : Idx)
-    Out.insert(Out.end(), Ws[I].begin(), Ws[I].end());
-  return Out;
 }
 
 /// Mean over a fixed suite of each member's median. The median of the

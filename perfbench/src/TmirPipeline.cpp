@@ -58,6 +58,10 @@ const ProgramSpec Specs[NumPrograms] = {
     {"dotprod", 300, 17910100, 9000},
 };
 constexpr std::size_t ListSum = 0;
+/// Nominal time of one interpreted instruction in IgnoreAtomic mode, which
+/// the end-to-end timings are scaled to. About what an unloaded 4-vCPU
+/// Intel Xeon virtual machine takes.
+constexpr double NominalRefInstrNs = 3;
 /// list-sum is the suite's read-only request: each suite submits it this
 /// many times, at sizes drawn from the seed, so that its latency tail has
 /// enough samples and the op-latency median falls inside one program's
@@ -96,13 +100,41 @@ Inputs makeInputs(const RunOptions &O) {
   return In;
 }
 
-/// One op: a program taken from source text to its result in ObjStm mode,
-/// then run again with atomic regions ignored (the sequential reference).
+/// A program taken from source text to a runnable ObjStm interpreter, with
+/// the step boundaries (steady_clock ns). Built in place: the interpreter
+/// refers to the module.
+struct Compiled {
+  tmir::Module M;
+  std::vector<passes::PassReport> Reports;
+  std::optional<interp::Interpreter> Interp;
+  int64_t Start = 0, Parsed = 0, Verified = 0, Optimized = 0, Built = 0;
+
+  explicit Compiled(const std::string &Src) {
+    std::string Err;
+    Start = nowNs();
+    if (!tmir::parseModule(Src, M, Err))
+      throw std::runtime_error("parse: " + Err);
+    Parsed = nowNs();
+    if (!tmir::verifyModule(M, Err))
+      throw std::runtime_error("verify: " + Err);
+    Verified = nowNs();
+    Reports = passes::lowerAndOptimize(M, passes::OptConfig::all());
+    Optimized = nowNs();
+    interp::Interpreter::Options Opts;
+    Opts.Mode = interp::Interpreter::TxMode::ObjStm;
+    Interp.emplace(M, Opts);
+    Built = nowNs();
+  }
+};
+
+/// One op: a program compiled and run in ObjStm mode, then run again with
+/// atomic regions ignored (the sequential reference).
 struct OpResult {
   /// Step boundaries (steady_clock ns); the op ends at Ran.
   int64_t Start = 0, Parsed = 0, Verified = 0, Optimized = 0, Built = 0,
           Ran = 0;
   int64_t RefNs = 0;
+  uint64_t RefInstrs = 0;
   int64_t Value = 0, RefValue = 0;
   unsigned BarriersRemoved = 0;
   uint64_t Instrs = 0, Opens = 0, TxCommitted = 0;
@@ -110,89 +142,99 @@ struct OpResult {
 
 OpResult runOp(const std::string &Src, long long Arg) {
   OpResult R;
-  std::string Err;
-  tmir::Module M;
-  R.Start = nowNs();
-  if (!tmir::parseModule(Src, M, Err))
-    throw std::runtime_error("parse: " + Err);
-  R.Parsed = nowNs();
-  if (!tmir::verifyModule(M, Err))
-    throw std::runtime_error("verify: " + Err);
-  R.Verified = nowNs();
-  std::vector<passes::PassReport> Reports =
-      passes::lowerAndOptimize(M, passes::OptConfig::all());
-  R.Optimized = nowNs();
-  interp::Interpreter::Options Opts;
-  Opts.Mode = interp::Interpreter::TxMode::ObjStm;
-  interp::Interpreter I(M, Opts);
-  R.Built = nowNs();
-  interp::Interpreter::RunResult Run = I.run("main", {Arg});
+  Compiled C(Src);
+  R.Start = C.Start;
+  R.Parsed = C.Parsed;
+  R.Verified = C.Verified;
+  R.Optimized = C.Optimized;
+  R.Built = C.Built;
+  interp::Interpreter::RunResult Run = C.Interp->run("main", {Arg});
   R.Ran = nowNs();
   if (Run.Trapped)
     throw std::runtime_error("trapped: " + Run.Error);
   R.Value = Run.Value;
-  interp::DynCounts &C = I.counts();
-  R.Instrs = C.Instrs.load();
-  R.Opens = C.OpenRead.load() + C.OpenUpdate.load();
-  R.TxCommitted = C.TxCommitted.load();
+  interp::DynCounts &Counts = C.Interp->counts();
+  R.Instrs = Counts.Instrs.load();
+  R.Opens = Counts.OpenRead.load() + Counts.OpenUpdate.load();
+  R.TxCommitted = Counts.TxCommitted.load();
   // Barriers present right after lowering minus those left at the end.
-  for (const passes::PassReport &Rep : Reports)
+  for (const passes::PassReport &Rep : C.Reports)
     if (Rep.PassName == "lower-atomic")
-      R.BarriersRemoved = Rep.After.total() - Reports.back().After.total();
+      R.BarriersRemoved = Rep.After.total() - C.Reports.back().After.total();
 
   interp::Interpreter::Options RefOpts;
   RefOpts.Mode = interp::Interpreter::TxMode::IgnoreAtomic;
-  interp::Interpreter J(M, RefOpts);
+  interp::Interpreter J(C.M, RefOpts);
   int64_t T0 = nowNs();
   interp::Interpreter::RunResult Ref = J.run("main", {Arg});
   R.RefNs = nowNs() - T0;
   if (Ref.Trapped)
     throw std::runtime_error("reference trapped: " + Ref.Error);
   R.RefValue = Ref.Value;
+  R.RefInstrs = J.counts().Instrs.load();
   return R;
 }
 
 struct PhaseResult {
   uint64_t Suites = 0, Ops = 0, Mismatches = 0;
-  int64_t StmOpNs = 0, StmRunNs = 0, RefRunNs = 0;
+  int64_t OpNs = 0, StmRunNs = 0, RefRunNs = 0;
+  double ScaledOpNs = 0; ///< OpNs at the reference speed
+  /// At the reference speed: op latency, that of list-sum, compile time.
   std::vector<float> OpUs, ScanUs;
   std::vector<float> ParseUs, VerifyUs, OptimizeUs;
-  std::array<std::vector<float>, NumPrograms> CompileUs, RunMs;
+  std::array<std::vector<float>, NumPrograms> CompileUs;
+  std::array<std::vector<float>, NumPrograms> RunMs; ///< raw
   uint64_t Instrs = 0, Opens = 0, TxCommitted = 0, BarriersRemoved = 0;
 };
 
-/// Runs whole suites until \p Seconds have passed. Without \p Traced every
-/// suite goes to \p Plain; with it, suites alternate between \p Plain and
-/// \p Traced, whose ops also leave an `op` span with parse/verify/optimize/
-/// run children in \p Log. Alternating keeps warm-up and host drift out of
+/// Runs whole suites until \p Seconds have passed. Each suite's
+/// ignore-atomic runs are recorded in \p Speed, whose factor then scales
+/// the suite's timings. Without \p Traced every suite goes to \p Plain;
+/// with it, suites alternate between \p Plain and \p Traced, whose ops also
+/// leave an `op` span with parse/verify/optimize/run children in \p Log.
+/// Alternating keeps warm-up and host drift out of
 /// bench.trace_overhead_frac.
-void runPhase(const Inputs &In, double Seconds, PhaseResult &Plain,
-              PhaseResult *Traced, SpanLog *Log) {
+void runPhase(const Inputs &In, double Seconds, ReferenceSpeed &Speed,
+              PhaseResult &Plain, PhaseResult *Traced, SpanLog *Log) {
   // One suite: list-sum ScanRuns times, then every other program once.
   std::vector<std::size_t> Suite(ScanRuns, ListSum);
   for (std::size_t P = 0; P < NumPrograms; ++P)
     if (P != ListSum)
       Suite.push_back(P);
+  std::vector<OpResult> Done(Suite.size());
+  std::vector<long long> Args(Suite.size());
   std::size_t NextScan = 0;
   const int64_t End = nowNs() + static_cast<int64_t>(Seconds * 1e9);
   while (nowNs() < End) {
     const bool Tracing = Traced && (Plain.Suites + Traced->Suites) % 2 == 1;
     PhaseResult &R = Tracing ? *Traced : Plain;
-    for (std::size_t P : Suite) {
-      long long Arg = P == ListSum ? In.ScanArgs[NextScan++ % ScanArgCount]
-                                   : Specs[P].Arg;
-      OpResult O = runOp(In.Sources[P], Arg);
+    int64_t RefNs = 0;
+    uint64_t RefInstrs = 0;
+    for (std::size_t I = 0; I < Suite.size(); ++I) {
+      const std::size_t P = Suite[I];
+      Args[I] = P == ListSum ? In.ScanArgs[NextScan++ % ScanArgCount]
+                             : Specs[P].Arg;
+      Done[I] = runOp(In.Sources[P], Args[I]);
+      RefNs += Done[I].RefNs;
+      RefInstrs += Done[I].RefInstrs;
+    }
+    Speed.record(double(RefNs), double(RefInstrs));
+    const double F = Speed.factor();
+    for (std::size_t I = 0; I < Suite.size(); ++I) {
+      const std::size_t P = Suite[I];
+      const OpResult &O = Done[I];
       R.Mismatches += O.Value != O.RefValue ||
-                      (P == ListSum && O.Value != Arg * (Arg - 1) / 2);
-      float OpUs = static_cast<float>((O.Ran - O.Start) / 1e3);
+                      (P == ListSum && O.Value != Args[I] * (Args[I] - 1) / 2);
+      float OpUs = static_cast<float>((O.Ran - O.Start) / 1e3 * F);
       R.StmRunNs += O.Ran - O.Built;
       R.RefRunNs += O.RefNs;
-      R.StmOpNs += O.Ran - O.Start;
+      R.OpNs += O.Ran - O.Start;
+      R.ScaledOpNs += (O.Ran - O.Start) * F;
       R.RunMs[P].push_back(static_cast<float>((O.Ran - O.Built) / 1e6));
       R.OpUs.push_back(OpUs);
       if (P == ListSum)
         R.ScanUs.push_back(OpUs);
-      R.CompileUs[P].push_back(static_cast<float>((O.Built - O.Start) / 1e3));
+      R.CompileUs[P].push_back(static_cast<float>((O.Built - O.Start) / 1e3 * F));
       R.ParseUs.push_back(static_cast<float>((O.Parsed - O.Start) / 1e3));
       R.VerifyUs.push_back(static_cast<float>((O.Verified - O.Parsed) / 1e3));
       R.OptimizeUs.push_back(static_cast<float>((O.Optimized - O.Verified) / 1e3));
@@ -215,14 +257,21 @@ void runPhase(const Inputs &In, double Seconds, PhaseResult &Plain,
 
 /// Loads the inputs and runs every program once at its default argument,
 /// checking the experiments' checksums; \p Bad counts the wrong results.
-std::unique_ptr<Inputs> setupOnce(const RunOptions &O, uint64_t &Bad) {
+/// The ignore-atomic runs are recorded in \p Speed.
+std::unique_ptr<Inputs> setupOnce(const RunOptions &O, uint64_t &Bad,
+                                  ReferenceSpeed &Speed) {
   auto In = std::make_unique<Inputs>(makeInputs(O));
+  int64_t RefNs = 0;
+  uint64_t RefInstrs = 0;
   for (std::size_t P = 0; P < NumPrograms; ++P) {
     OpResult R = runOp(In->Sources[P], Specs[P].DefaultArg);
+    RefNs += R.RefNs;
+    RefInstrs += R.RefInstrs;
     if (O.CorruptFinalState && P == ListSum)
       ++R.Value;
     Bad += R.Value != Specs[P].Expected || R.RefValue != Specs[P].Expected;
   }
+  Speed.record(double(RefNs), double(RefInstrs));
   return In;
 }
 
@@ -231,16 +280,10 @@ std::unique_ptr<Inputs> setupOnce(const RunOptions &O, uint64_t &Bad) {
 CompileSampler::CompileSampler(const RunOptions &O)
     : Sources(loadSources(O)), Us(Sources.size()) {}
 
-void CompileSampler::round() {
+void CompileSampler::round(double Factor) {
   for (std::size_t P = 0; P < Sources.size(); ++P) {
-    tmir::Module M;
-    std::string Err;
-    int64_t T0 = nowNs();
-    if (!tmir::parseModule(Sources[P], M, Err) || !tmir::verifyModule(M, Err))
-      throw std::runtime_error("compile sample: " + Err);
-    passes::lowerAndOptimize(M, passes::OptConfig::all());
-    interp::Interpreter I(M, interp::Interpreter::Options{});
-    Us[P].push_back((nowNs() - T0) / 1e3);
+    Compiled C(Sources[P]);
+    Us[P].push_back((C.Built - C.Start) / 1e3 * Factor);
   }
 }
 
@@ -248,8 +291,9 @@ Result runTmirPipeline(const RunOptions &O) {
   Result R;
   double SetupS = 0;
   uint64_t SetupBad = 0;
-  std::unique_ptr<Inputs> In =
-      repeatedSetup([&] { return setupOnce(O, SetupBad); }, SetupS);
+  std::unique_ptr<Inputs> In = repeatedSetup(
+      [&](ReferenceSpeed &Speed) { return setupOnce(O, SetupBad, Speed); },
+      NominalRefInstrNs, SetupS);
   R.Attempted += SetupReps * NumPrograms;
   R.check("programs whose default-argument result differs from the expected "
           "checksum",
@@ -257,8 +301,9 @@ Result runTmirPipeline(const RunOptions &O) {
 
   PhaseResult P, T;
   SpanLog Log;
+  ReferenceSpeed Speed(NominalRefInstrNs);
   CounterWindow W;
-  runPhase(*In, O.Seconds, P, O.Trace ? &T : nullptr, &Log);
+  runPhase(*In, O.Seconds, Speed, P, O.Trace ? &T : nullptr, &Log);
   W.finish();
   R.Attempted += P.Ops + T.Ops;
   R.check("program runs whose ObjStm result differs from the ignore-atomic "
@@ -267,7 +312,7 @@ Result runTmirPipeline(const RunOptions &O) {
 
   if (!O.Trace) {
     R.add("setup_s", SetupS, "s");
-    R.add("throughput_ops_s", ratio(double(P.Suites), P.StmOpNs / 1e9), "1/s");
+    R.add("throughput_ops_s", ratio(double(P.Suites), P.ScaledOpNs / 1e9), "1/s");
     R.add("latency_p50_us", median(P.OpUs, "op latency"), "us");
     R.add("latency_p99_us", percentile(P.OpUs, 99.0, "op latency"), "us");
     R.add("scan_p99_us", percentile(P.ScanUs, 99.0, "list-sum run"), "us");
@@ -277,6 +322,10 @@ Result runTmirPipeline(const RunOptions &O) {
     R.note("suites " + std::to_string(P.Suites) + ", op samples " +
            std::to_string(P.OpUs.size()) + ", list-sum samples " +
            std::to_string(P.ScanUs.size()));
+    R.note("raw: throughput " +
+           std::to_string(ratio(double(P.Suites), P.OpNs / 1e9)) +
+           " 1/s, ignore-atomic instruction " + std::to_string(Speed.unitNs()) +
+           " ns (nominal " + std::to_string(NominalRefInstrNs) + ")");
     return R;
   }
 
@@ -298,8 +347,8 @@ Result runTmirPipeline(const RunOptions &O) {
     R.add(std::string("interp.run_ms.") + Specs[Prog].Name,
           median(T.RunMs[Prog], Specs[Prog].Name), "ms");
   R.add("bench.trace_overhead_frac",
-        ratio(ratio(double(T.StmOpNs), double(T.Ops)),
-              ratio(double(P.StmOpNs), double(P.Ops))) -
+        ratio(ratio(T.ScaledOpNs, double(T.Ops)),
+              ratio(P.ScaledOpNs, double(P.Ops))) -
             1.0,
         "fraction");
   if (!O.OutDir.empty() &&

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Per-thread tracer for the traced run of kv-server and containers-1t.
+/// Per-thread tracer for the traced run of containers-1t.
 /// The benchmark calls it around its own calls into the runtime: a root
 /// span per request (or container op), an `attempt` span per entry into the
 /// transaction body, and a barrier span per TxManager barrier call inside
@@ -14,7 +14,7 @@
 /// Besides the spans it keeps the per-request figures the per-layer metrics
 /// need: attempts, wasted body time (bodies of attempts that did not
 /// commit), and outside-body time (request time minus the committing
-/// attempt's body: admission, begin, commit, backoff, serial-gate wait).
+/// attempt's body: begin, commit, backoff, serial-gate wait).
 /// Spans and samples are capped so that a long traced run stays small; the
 /// counters keep counting past the caps.
 ///

@@ -9,15 +9,18 @@
 /// inputs from the seed before any timing starts, sets itself up several
 /// times (setup_s is the median), measures for the requested seconds, and
 /// checks the program's outputs. An untraced run reports the end-to-end
-/// metrics; a traced run splits its time between untraced work (the
-/// reference for bench.trace_overhead_frac) and traced work that yields the
-/// per-layer metrics.
+/// metrics, whose timings are scaled to the reference speed
+/// (ReferenceSpeed.h);
+/// a traced run splits its time between untraced work (the reference for
+/// bench.trace_overhead_frac) and traced work that yields the per-layer
+/// metrics.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PERFBENCH_WORKLOAD_H
 #define PERFBENCH_WORKLOAD_H
 
+#include "ReferenceSpeed.h"
 #include "Spans.h"
 #include "Stats.h"
 
@@ -65,24 +68,26 @@ struct Result {
   }
 };
 
-Result runKvServer(const RunOptions &O);
 Result runContainers(const RunOptions &O);
 Result runTmirPipeline(const RunOptions &O);
 
 /// Number of times each workload builds its state; setup_s is the median.
 constexpr unsigned SetupReps = 25;
 
-/// Builds state with \p Make() SetupReps times (destroying the previous
-/// one first) and keeps the last; \p MedianSeconds gets the median time.
+/// Builds state with \p Make(Speed) SetupReps times (destroying the
+/// previous one first) and keeps the last. Each build records the time of
+/// its sequential part in Speed, a ReferenceSpeed at \p NominalNs per unit;
+/// \p MedianSeconds gets the median build time at the reference speed.
 template <typename MakeFn>
-auto repeatedSetup(MakeFn &&Make, double &MedianSeconds) {
-  decltype(Make()) State;
+auto repeatedSetup(MakeFn &&Make, double NominalNs, double &MedianSeconds) {
+  ReferenceSpeed Speed(NominalNs);
+  decltype(Make(Speed)) State;
   std::vector<double> Times;
   for (unsigned I = 0; I < SetupReps; ++I) {
     State.reset();
     int64_t T0 = nowNs();
-    State = Make();
-    Times.push_back((nowNs() - T0) / 1e9);
+    State = Make(Speed);
+    Times.push_back((nowNs() - T0) / 1e9 * Speed.factor());
   }
   MedianSeconds = medianOf(Times, "setup");
   return State;
@@ -91,15 +96,17 @@ auto repeatedSetup(MakeFn &&Make, double &MedianSeconds) {
 /// Peak resident set of this process so far, in MiB.
 double peakRssMb();
 
-/// compile_p50_us for the workloads that do not compile as part of their
+/// compile_p50_us for containers-1t, which does not compile as part of its
 /// traffic: compiles the six TMIR programs from source text to a runnable
-/// interpreter, each once per round().
+/// interpreter, each once per round(), through the same steps as a
+/// tmir-pipeline op. \p Factor scales the times to the reference speed.
 class CompileSampler {
 public:
   explicit CompileSampler(const RunOptions &O);
-  void round();
+  void round(double Factor);
   /// Mean over the programs of each one's median compile time (us).
   double p50Us() { return meanOfMedians(Us, "compile time"); }
+  std::size_t rounds() const { return Us.empty() ? 0 : Us[0].size(); }
 
 private:
   std::vector<std::string> Sources;

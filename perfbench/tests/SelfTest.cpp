@@ -4,17 +4,17 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Self-tests of the benchmark's own machinery: the percentile helper, due-time
-// accounting of the open-loop generator, span self-time reconciliation, and
-// the workloads' correctness checks (which must fire on a deliberately
-// corrupted final state and stay quiet on a clean one).
+// Self-tests of the benchmark's own machinery: the percentile helper, the
+// reference-speed scaling, span self-time reconciliation, and the workloads'
+// correctness checks (which must fire on a deliberately corrupted final
+// state and stay quiet on a clean one).
 //
 // Build and run:  cmake -S perfbench -B build-perfbench &&
 //                 cmake --build build-perfbench -j && ctest --test-dir build-perfbench
 //
 //===----------------------------------------------------------------------===//
 
-#include "OpenLoop.h"
+#include "ReferenceSpeed.h"
 #include "Spans.h"
 #include "Stats.h"
 #include "Workload.h"
@@ -23,7 +23,6 @@
 #include <functional>
 #include <numeric>
 #include <stdexcept>
-#include <thread>
 
 using namespace perfbench;
 
@@ -61,29 +60,11 @@ void testPercentile() {
   std::vector<double> Empty;
   expect(throws([&] { median(Empty, "t"); }), "median of nothing is refused");
 
-  // Three windows of 1..1000; one of them hit by a stall that adds 1e6 to
-  // its top 5%. The pooled p99 lands inside the stall; the quietest window's
-  // does not.
-  std::vector<std::vector<double>> Windows(3, V);
+  // A stall that hits 5% of the samples sets the p99 of the pooled run.
+  std::vector<double> Stalled = V;
   for (std::size_t I = 950; I < 1000; ++I)
-    Windows[1][I] += 1e6;
-  Windows[2][999] = 2000; // the noisier of the two unstalled windows
-  std::vector<double> All = pooled(Windows, {0, 1, 2});
-  expect(percentile(All, 99.0, "t") > 1e6, "a stall sets the pooled p99");
-  std::vector<std::size_t> Quiet = quietWindows(Windows, "t");
-  expect(Quiet.size() == 1 && Quiet[0] == 0,
-         "the quietest tenth of three windows is the quietest one");
-  std::vector<double> QuietSamples = pooled(Windows, Quiet);
-  expect(percentile(QuietSamples, 99.0, "t") == 990.0,
-         "the quiet windows' p99 is the unstalled p99");
-  std::vector<std::vector<double>> Twenty(20, V);
-  expect(quietWindows(Twenty, "t").size() == 2, "a tenth of twenty windows");
-  std::vector<std::vector<double>> ShortWindows(3, Short);
-  expect(throws([&] { quietWindows(ShortWindows, "t"); }),
-         "every window must have ten samples beyond its p99");
-  expect(windowOf(0, 100, 4) == 0 && windowOf(99, 100, 4) == 3 &&
-             windowOf(250, 100, 4) == 3 && windowOf(-5, 100, 4) == 0,
-         "window index is clamped to the interval");
+    Stalled[I] += 1e6;
+  expect(percentile(Stalled, 99.0, "t") > 1e6, "a stall sets the p99");
 
   std::vector<std::vector<double>> Suite = {{1, 2, 3}, {10, 20, 30}};
   expect(meanOfMedians(Suite, "t") == 11.0, "mean of per-group medians");
@@ -97,50 +78,40 @@ void testPercentile() {
          "sample series spans the whole stream");
 }
 
-void testOpenLoopChargesStalls() {
-  // Period 2 ms; request 2 stalls the stub server for 30 ms. Requests 3..5
-  // are due during the stall and must be charged for it even though their
-  // own service is instant.
-  constexpr int64_t Period = 2'000'000, Stall = 30'000'000;
-  std::vector<RequestTiming> T(8);
-  runOpenLoop(
-      nowNs(), Period, T.size(),
-      [&](uint64_t I) {
-        if (I == 2)
-          std::this_thread::sleep_for(std::chrono::nanoseconds(Stall));
-      },
-      [&](uint64_t I, const RequestTiming &Tm) { T[I] = Tm; });
-  expect(T[0].latency() < Stall / 2, "an unstalled request is not charged");
-  expect(T[2].latency() >= Stall, "the stalled request pays its stall");
-  expect(T[3].latency() >= Stall - 2 * Period,
-         "the request due during the stall pays the rest of it");
-  expect(T[3].Done - T[3].Sent < Stall / 2,
-         "... although its own service time was short");
-  expect(T[3].lag() >= Stall - 2 * Period, "the generator lag shows the stall");
-  for (const RequestTiming &Tm : T)
-    expect(Tm.Sent >= Tm.Due, "no request is sent before it is due");
+void testReferenceSpeed() {
+  ReferenceSpeed Speed(100.0);
+  expect(Speed.factor() == 1.0, "no reference sample scales by 1");
+  Speed.record(2000.0, 10.0); // 200 ns per unit: a host at half speed
+  expect(Speed.factor() == 0.5, "factor is nominal over reference time");
+  for (int I = 0; I < 20; ++I)
+    Speed.record(I % 4 == 0 ? 1e6 : 5000.0, 100.0); // 50 ns, some stalled
+  expect(Speed.factor() == 2.0 && Speed.unitNs() == 50.0,
+         "the median of the recent samples ignores a minority of stalls and "
+         "forgets older samples");
+  Speed.record(0.0, 0.0);
+  expect(Speed.factor() == 2.0, "an empty sample is ignored");
 }
 
 void testSpanReconciliation() {
   SpanLog L;
-  uint32_t Req = L.add(SpanName::Request, Span::NoParent, 1, 0, 100);
+  uint32_t Req = L.add(SpanName::Op, Span::NoParent, 1, 0, 100);
   uint32_t A1 = L.add(SpanName::Attempt, Req, 1, 10, 40);
   L.add(SpanName::OpenRead, A1, 1, 15, 20);
   L.add(SpanName::Attempt, Req, 1, 50, 90);
   std::vector<int64_t> Self = selfTimes(L.spans());
   expect(Self[Req] == 30, "request self time excludes both attempts");
   expect(Self[A1] == 25, "attempt self time excludes its barrier");
-  expect(reconcileFailures(L.spans(), SpanName::Request) == 0,
+  expect(reconcileFailures(L.spans(), SpanName::Op) == 0,
          "nested spans reconcile");
 
   SpanLog Bad;
-  uint32_t R1 = Bad.add(SpanName::Request, Span::NoParent, 1, 0, 100);
+  uint32_t R1 = Bad.add(SpanName::Op, Span::NoParent, 1, 0, 100);
   Bad.add(SpanName::Attempt, R1, 1, 10, 60); // overlaps its sibling
   Bad.add(SpanName::Attempt, R1, 1, 50, 90);
-  uint32_t R2 = Bad.add(SpanName::Request, Span::NoParent, 2, 200, 300);
+  uint32_t R2 = Bad.add(SpanName::Op, Span::NoParent, 2, 200, 300);
   Bad.add(SpanName::Attempt, R2, 2, 290, 320); // escapes its parent
   expect(selfTimes(Bad.spans())[R1] == 20, "overlap is covered once");
-  expect(reconcileFailures(Bad.spans(), SpanName::Request) == 2,
+  expect(reconcileFailures(Bad.spans(), SpanName::Op) == 2,
          "overlapping and escaping children are caught");
 }
 
@@ -148,8 +119,7 @@ void testChecksFire() {
   struct Case {
     const char *Name;
     Result (*Run)(const RunOptions &);
-  } Cases[] = {{"kv-server", runKvServer},
-               {"containers-1t", runContainers},
+  } Cases[] = {{"containers-1t", runContainers},
                {"tmir-pipeline", runTmirPipeline}};
   for (const Case &C : Cases) {
     RunOptions O;
@@ -171,7 +141,7 @@ void testChecksFire() {
 
 int main() {
   testPercentile();
-  testOpenLoopChargesStalls();
+  testReferenceSpeed();
   testSpanReconciliation();
   testChecksFire();
   if (Failures) {
