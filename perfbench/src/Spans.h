@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <time.h>
 #include <utility>
 #include <vector>
 
@@ -35,6 +36,20 @@ inline int64_t nowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+/// CPU time of the calling thread, in ns. The benchmark runs the program
+/// on one thread that never blocks, so this is its wall time minus the
+/// time the host ran something else on that CPU: other processes, and
+/// other tenants of the machine, whose share the kernel accounts as steal
+/// time. Those preemptions land in a few operations of a run, in a number
+/// that changes from run to run, and move a wall-clock latency tail by
+/// more than any bound could absorb. A read costs a system call (about
+/// 0.3 us), so it times work that takes tens of microseconds or more.
+inline int64_t cpuNs() {
+  timespec T;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &T);
+  return int64_t(T.tv_sec) * 1'000'000'000 + T.tv_nsec;
 }
 
 enum class SpanName : uint16_t {

@@ -17,7 +17,9 @@
 // are enlarged so the interpreted run dominates each op; the default
 // arguments and checksums are those of the experiments and are checked once
 // per setup. list-sum, the read-only program, runs several times per suite
-// at seeded sizes (see ScanRuns).
+// at seeded sizes (see ScanRuns). Every step is timed in thread CPU time
+// (cpuNs): a list-sum op takes about half a millisecond, short enough that
+// the host's preemptions would otherwise set its p99.
 //
 //===----------------------------------------------------------------------===//
 
@@ -101,7 +103,7 @@ Inputs makeInputs(const RunOptions &O) {
 }
 
 /// A program taken from source text to a runnable ObjStm interpreter, with
-/// the step boundaries (steady_clock ns). Built in place: the interpreter
+/// the step boundaries (cpuNs). Built in place: the interpreter
 /// refers to the module.
 struct Compiled {
   tmir::Module M;
@@ -111,26 +113,26 @@ struct Compiled {
 
   explicit Compiled(const std::string &Src) {
     std::string Err;
-    Start = nowNs();
+    Start = cpuNs();
     if (!tmir::parseModule(Src, M, Err))
       throw std::runtime_error("parse: " + Err);
-    Parsed = nowNs();
+    Parsed = cpuNs();
     if (!tmir::verifyModule(M, Err))
       throw std::runtime_error("verify: " + Err);
-    Verified = nowNs();
+    Verified = cpuNs();
     Reports = passes::lowerAndOptimize(M, passes::OptConfig::all());
-    Optimized = nowNs();
+    Optimized = cpuNs();
     interp::Interpreter::Options Opts;
     Opts.Mode = interp::Interpreter::TxMode::ObjStm;
     Interp.emplace(M, Opts);
-    Built = nowNs();
+    Built = cpuNs();
   }
 };
 
 /// One op: a program compiled and run in ObjStm mode, then run again with
 /// atomic regions ignored (the sequential reference).
 struct OpResult {
-  /// Step boundaries (steady_clock ns); the op ends at Ran.
+  /// Step boundaries (cpuNs); the op ends at Ran.
   int64_t Start = 0, Parsed = 0, Verified = 0, Optimized = 0, Built = 0,
           Ran = 0;
   int64_t RefNs = 0;
@@ -149,7 +151,7 @@ OpResult runOp(const std::string &Src, long long Arg) {
   R.Optimized = C.Optimized;
   R.Built = C.Built;
   interp::Interpreter::RunResult Run = C.Interp->run("main", {Arg});
-  R.Ran = nowNs();
+  R.Ran = cpuNs();
   if (Run.Trapped)
     throw std::runtime_error("trapped: " + Run.Error);
   R.Value = Run.Value;
@@ -165,9 +167,9 @@ OpResult runOp(const std::string &Src, long long Arg) {
   interp::Interpreter::Options RefOpts;
   RefOpts.Mode = interp::Interpreter::TxMode::IgnoreAtomic;
   interp::Interpreter J(C.M, RefOpts);
-  int64_t T0 = nowNs();
+  int64_t T0 = cpuNs();
   interp::Interpreter::RunResult Ref = J.run("main", {Arg});
-  R.RefNs = nowNs() - T0;
+  R.RefNs = cpuNs() - T0;
   if (Ref.Trapped)
     throw std::runtime_error("reference trapped: " + Ref.Error);
   R.RefValue = Ref.Value;
@@ -303,7 +305,9 @@ Result runTmirPipeline(const RunOptions &O) {
   SpanLog Log;
   ReferenceSpeed Speed(NominalRefInstrNs);
   CounterWindow W;
+  CpuShare Share;
   runPhase(*In, O.Seconds, Speed, P, O.Trace ? &T : nullptr, &Log);
+  const double CpuOfWall = Share.get();
   W.finish();
   R.Attempted += P.Ops + T.Ops;
   R.check("program runs whose ObjStm result differs from the ignore-atomic "
@@ -326,6 +330,7 @@ Result runTmirPipeline(const RunOptions &O) {
            std::to_string(ratio(double(P.Suites), P.OpNs / 1e9)) +
            " 1/s, ignore-atomic instruction " + std::to_string(Speed.unitNs()) +
            " ns (nominal " + std::to_string(NominalRefInstrNs) + ")");
+    R.note("cpu share of wall time " + std::to_string(CpuOfWall));
     return R;
   }
 

@@ -9,8 +9,8 @@
 /// inputs from the seed before any timing starts, sets itself up several
 /// times (setup_s is the median), measures for the requested seconds, and
 /// checks the program's outputs. An untraced run reports the end-to-end
-/// metrics, whose timings are scaled to the reference speed
-/// (ReferenceSpeed.h);
+/// metrics, whose timings are thread CPU time (cpuNs) scaled to the
+/// reference speed (ReferenceSpeed.h);
 /// a traced run splits its time between untraced work (the reference for
 /// bench.trace_overhead_frac) and traced work that yields the per-layer
 /// metrics.
@@ -77,7 +77,8 @@ constexpr unsigned SetupReps = 25;
 /// Builds state with \p Make(Speed) SetupReps times (destroying the
 /// previous one first) and keeps the last. Each build records the time of
 /// its sequential part in Speed, a ReferenceSpeed at \p NominalNs per unit;
-/// \p MedianSeconds gets the median build time at the reference speed.
+/// \p MedianSeconds gets the median build time (thread CPU time) at the
+/// reference speed.
 template <typename MakeFn>
 auto repeatedSetup(MakeFn &&Make, double NominalNs, double &MedianSeconds) {
   ReferenceSpeed Speed(NominalNs);
@@ -85,13 +86,25 @@ auto repeatedSetup(MakeFn &&Make, double NominalNs, double &MedianSeconds) {
   std::vector<double> Times;
   for (unsigned I = 0; I < SetupReps; ++I) {
     State.reset();
-    int64_t T0 = nowNs();
+    int64_t T0 = cpuNs();
     State = Make(Speed);
-    Times.push_back((nowNs() - T0) / 1e9 * Speed.factor());
+    Times.push_back((cpuNs() - T0) / 1e9 * Speed.factor());
   }
   MedianSeconds = medianOf(Times, "setup");
   return State;
 }
+
+/// The share of the wall time since construction that the calling thread
+/// ran: below 1 by the time the host gave its CPU to others.
+class CpuShare {
+public:
+  double get() const {
+    return ratio(double(cpuNs() - Cpu), double(nowNs() - Wall));
+  }
+
+private:
+  int64_t Wall = nowNs(), Cpu = cpuNs();
+};
 
 /// Peak resident set of this process so far, in MiB.
 double peakRssMb();

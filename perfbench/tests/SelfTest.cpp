@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 //
 // Self-tests of the benchmark's own machinery: the percentile helper, the
-// reference-speed scaling, span self-time reconciliation, and the workloads'
-// correctness checks (which must fire on a deliberately corrupted final
-// state and stay quiet on a clean one).
+// reference-speed scaling, the CPU-time clock, span self-time
+// reconciliation, and the workloads' correctness checks (which must fire
+// on a deliberately corrupted final state and stay quiet on a clean one).
 //
 // Build and run:  cmake -S perfbench -B build-perfbench &&
 //                 cmake --build build-perfbench -j && ctest --test-dir build-perfbench
@@ -19,10 +19,12 @@
 #include "Stats.h"
 #include "Workload.h"
 
+#include <chrono>
 #include <cstdio>
 #include <functional>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 
 using namespace perfbench;
 
@@ -92,6 +94,17 @@ void testReferenceSpeed() {
   expect(Speed.factor() == 2.0, "an empty sample is ignored");
 }
 
+void testCpuClock() {
+  // Time the thread does not run, here a sleep, stays out of cpuNs.
+  CpuShare Share;
+  const int64_t Cpu0 = cpuNs(), Wall0 = nowNs();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const int64_t Cpu = cpuNs() - Cpu0, Wall = nowNs() - Wall0;
+  expect(Wall >= 50'000'000 && Cpu < 10'000'000,
+         "thread CPU time leaves out a 50 ms sleep");
+  expect(Share.get() < 0.2, "the CPU share of a sleeping stretch is small");
+}
+
 void testSpanReconciliation() {
   SpanLog L;
   uint32_t Req = L.add(SpanName::Op, Span::NoParent, 1, 0, 100);
@@ -142,6 +155,7 @@ void testChecksFire() {
 int main() {
   testPercentile();
   testReferenceSpeed();
+  testCpuClock();
   testSpanReconciliation();
   testChecksFire();
   if (Failures) {
