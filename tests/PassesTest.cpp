@@ -573,6 +573,403 @@ entry:
 }
 
 //===----------------------------------------------------------------------===
+// Dataflow edge cases
+//
+// The barrier passes solve optimistic must-problems: a block is TOP (the
+// identity of the meet) until a predecessor (forward) or successor
+// (backward) with known facts reaches it. The entry block and every block
+// without predecessors start from the empty set; for the backward problem,
+// every block without successors does. A block no such start reaches keeps
+// TOP through the solve, contributes nothing to its neighbours' meets, and
+// is then transformed as if nothing were available. These tests pin that
+// behaviour on the shapes where it shows.
+//===----------------------------------------------------------------------===
+
+namespace {
+
+std::string printed(Module &M, const char *Fn) {
+  return printFunction(M, *M.functionByName(Fn));
+}
+
+} // namespace
+
+TEST(DataflowEdgeCases, UnreachableBlockWithoutPredsStartsEmpty) {
+  // "dead" has no predecessors, so it is a start of the forward problem
+  // with no facts: it reaches the join without an open, and the join's open
+  // stays. "spin1"/"spin2" form an unreachable cycle no start reaches: it
+  // stays TOP and does not weaken the join's meet from "other".
+  Module M = parsed(R"(
+class P { x: i64 }
+func f(p: P, c: i1): i64 {
+entry:
+  atomic_begin
+  %o = loadlocal p
+  open_read %o
+  %cc = loadlocal c
+  condbr %cc, join, other
+dead:
+  br join
+join:
+  open_read %o
+  %a = getfield %o, P.x
+  br other
+other:
+  open_read %o
+  %b = getfield %o, P.x
+  atomic_end
+  ret %b
+spin1:
+  open_read %o
+  open_read %o
+  br spin2
+spin2:
+  open_read %o
+  condbr %cc, spin1, other
+}
+)");
+  OpenElimPass Elim;
+  EXPECT_TRUE(Elim.run(M));
+  verifyModuleOrDie(M);
+  EXPECT_EQ(printed(M, "f"), R"(func f(p: P, c: i1): i64 {
+entry:
+  atomic_begin
+  %o = loadlocal p
+  open_read %o
+  %cc = loadlocal c
+  condbr %cc, join, other
+dead:
+  br join
+join:
+  open_read %o
+  %a = getfield %o, P.x
+  br other
+other:
+  %b = getfield %o, P.x
+  atomic_end
+  ret %b
+spin1:
+  open_read %o
+  br spin2
+spin2:
+  open_read %o
+  condbr %cc, spin1, other
+}
+)");
+}
+
+TEST(DataflowEdgeCases, BlocksThatNeverExitStayTopBackward) {
+  // "spin" can never reach a return, so the backward problem never reaches
+  // it: its facts are reported empty and its trailing open_read is not
+  // upgraded, although the next iteration opens the same object for
+  // update. The open_read in "done" is.
+  Module M = parsed(R"(
+class P { x: i64 }
+func f(p: P, c: i1) {
+entry:
+  atomic_begin
+  %o = loadlocal p
+  %cc = loadlocal c
+  condbr %cc, spin, done
+spin:
+  open_update %o
+  setfield %o, P.x, 1
+  open_read %o
+  %a = getfield %o, P.x
+  br spin
+done:
+  open_read %o
+  %b = getfield %o, P.x
+  open_update %o
+  setfield %o, P.x, %b
+  atomic_end
+  ret
+}
+)");
+  UpgradePass Up;
+  EXPECT_TRUE(Up.run(M));
+  EXPECT_EQ(Up.upgradedLastRun(), 1u);
+  EXPECT_EQ(printed(M, "f"), R"(func f(p: P, c: i1) {
+entry:
+  atomic_begin
+  %o = loadlocal p
+  %cc = loadlocal c
+  condbr %cc, spin, done
+spin:
+  open_update %o
+  setfield %o, P.x, 1
+  open_read %o
+  %a = getfield %o, P.x
+  br spin
+done:
+  open_update %o
+  %b = getfield %o, P.x
+  open_update %o
+  setfield %o, P.x, %b
+  atomic_end
+  ret
+}
+)");
+}
+
+TEST(DataflowEdgeCases, SelfLoopIsOptimistic) {
+  // The loop block is its own predecessor: availability around the back
+  // edge is assumed until disproved, so the loop's open of %o (opened in
+  // the entry) goes, while the open of %n, redefined on every iteration,
+  // stays. Backward, the loop's open_read is upgraded because the update
+  // after the loop is certain on every path out of it.
+  const char *Program = R"(
+class Node { v: i64, next: Node }
+func f(head: Node, c: i1) {
+  var cur: Node
+entry:
+  atomic_begin
+  %o = loadlocal head
+  open_read %o
+  storelocal cur, %o
+  br loop
+loop:
+  open_read %o
+  %v = getfield %o, Node.v
+  %n = loadlocal cur
+  open_read %n
+  %nx = getfield %n, Node.next
+  storelocal cur, %nx
+  %cc = loadlocal c
+  condbr %cc, loop, wr
+wr:
+  open_update %o
+  setfield %o, Node.v, %v
+  atomic_end
+  ret
+}
+)";
+  Module M = parsed(Program);
+  OpenElimPass Elim;
+  EXPECT_TRUE(Elim.run(M));
+  EXPECT_EQ(Elim.removedLastRun(), 1u);
+  EXPECT_EQ(printed(M, "f"), R"(func f(head: Node, c: i1) {
+  var cur: Node
+entry:
+  atomic_begin
+  %o = loadlocal head
+  open_read %o
+  storelocal cur, %o
+  br loop
+loop:
+  %v = getfield %o, Node.v
+  %n = loadlocal cur
+  open_read %n
+  %nx = getfield %n, Node.next
+  storelocal cur, %nx
+  %cc = loadlocal c
+  condbr %cc, loop, wr
+wr:
+  open_update %o
+  setfield %o, Node.v, %v
+  atomic_end
+  ret
+}
+)");
+
+  Module U = parsed(Program);
+  UpgradePass Up;
+  EXPECT_TRUE(Up.run(U));
+  EXPECT_EQ(printed(U, "f"), R"(func f(head: Node, c: i1) {
+  var cur: Node
+entry:
+  atomic_begin
+  %o = loadlocal head
+  open_update %o
+  storelocal cur, %o
+  br loop
+loop:
+  open_update %o
+  %v = getfield %o, Node.v
+  %n = loadlocal cur
+  open_read %n
+  %nx = getfield %n, Node.next
+  storelocal cur, %nx
+  %cc = loadlocal c
+  condbr %cc, loop, wr
+wr:
+  open_update %o
+  setfield %o, Node.v, %v
+  atomic_end
+  ret
+}
+)");
+}
+
+TEST(DataflowEdgeCases, IrreducibleLoopIsOptimistic) {
+  // "a" and "b" form a loop entered from the entry at both blocks. Neither
+  // dominates the other, yet the open of %o made in the entry reaches both
+  // around the cycle, so both loop opens go. The fresh object allocated in
+  // the entry stays fresh around the cycle too.
+  const char *Program = R"(
+class P { x: i64 }
+func f(p: P, c: i1) {
+  var tmp: P
+entry:
+  atomic_begin
+  %o = loadlocal p
+  open_read %o
+  %n = newobj P
+  storelocal tmp, %n
+  %cc = loadlocal c
+  condbr %cc, a, b
+a:
+  open_read %o
+  %x = getfield %o, P.x
+  %t1 = loadlocal tmp
+  open_update %t1
+  setfield %t1, P.x, %x
+  condbr %cc, b, exit
+b:
+  open_read %o
+  %y = getfield %o, P.x
+  %t2 = loadlocal tmp
+  open_update %t2
+  setfield %t2, P.x, %y
+  condbr %cc, a, exit
+exit:
+  atomic_end
+  ret
+}
+)";
+  Module M = parsed(Program);
+  OpenElimPass Elim;
+  EXPECT_TRUE(Elim.run(M));
+  EXPECT_EQ(Elim.removedLastRun(), 2u);
+  EXPECT_EQ(printed(M, "f"), R"(func f(p: P, c: i1) {
+  var tmp: P
+entry:
+  atomic_begin
+  %o = loadlocal p
+  open_read %o
+  %n = newobj P
+  storelocal tmp, %n
+  %cc = loadlocal c
+  condbr %cc, a, b
+a:
+  %x = getfield %o, P.x
+  %t1 = loadlocal tmp
+  open_update %t1
+  setfield %t1, P.x, %x
+  condbr %cc, b, exit
+b:
+  %y = getfield %o, P.x
+  %t2 = loadlocal tmp
+  open_update %t2
+  setfield %t2, P.x, %y
+  condbr %cc, a, exit
+exit:
+  atomic_end
+  ret
+}
+)");
+
+  Module A = parsed(Program);
+  AllocElisionPass Elide;
+  EXPECT_TRUE(Elide.run(A));
+  EXPECT_EQ(Elide.removedLastRun(), 2u);
+  EXPECT_EQ(printed(A, "f"), R"(func f(p: P, c: i1) {
+  var tmp: P
+entry:
+  atomic_begin
+  %o = loadlocal p
+  open_read %o
+  %n = newobj P
+  storelocal tmp, %n
+  %cc = loadlocal c
+  condbr %cc, a, b
+a:
+  open_read %o
+  %x = getfield %o, P.x
+  %t1 = loadlocal tmp
+  setfield %t1, P.x, %x
+  condbr %cc, b, exit
+b:
+  open_read %o
+  %y = getfield %o, P.x
+  %t2 = loadlocal tmp
+  setfield %t2, P.x, %y
+  condbr %cc, a, exit
+exit:
+  atomic_end
+  ret
+}
+)");
+}
+
+TEST(DataflowEdgeCases, AtomicEndMidBlockClearsFacts) {
+  // The first transaction ends in the middle of "entry"; the second one,
+  // begun in the same block, must open %o again in "next", must not have
+  // its read upgraded from the first transaction's update, and must not
+  // treat the first transaction's allocation as fresh.
+  const char *Program = R"(
+class P { x: i64 }
+func f(p: P) {
+  var tmp: P
+entry:
+  atomic_begin
+  %o = loadlocal p
+  open_read %o
+  %a = getfield %o, P.x
+  %n = newobj P
+  storelocal tmp, %n
+  atomic_end
+  atomic_begin
+  br next
+next:
+  open_read %o
+  %b = getfield %o, P.x
+  %t = loadlocal tmp
+  open_update %t
+  setfield %t, P.x, %b
+  atomic_end
+  atomic_begin
+  open_update %o
+  setfield %o, P.x, %a
+  atomic_end
+  ret
+}
+)";
+  Module M = parsed(Program);
+  OpenElimPass Elim;
+  EXPECT_FALSE(Elim.run(M));
+  AllocElisionPass Elide;
+  EXPECT_FALSE(Elide.run(M));
+  UpgradePass Up;
+  EXPECT_FALSE(Up.run(M));
+  EXPECT_EQ(printed(M, "f"), R"(func f(p: P) {
+  var tmp: P
+entry:
+  atomic_begin
+  %o = loadlocal p
+  open_read %o
+  %a = getfield %o, P.x
+  %n = newobj P
+  storelocal tmp, %n
+  atomic_end
+  atomic_begin
+  br next
+next:
+  open_read %o
+  %b = getfield %o, P.x
+  %t = loadlocal tmp
+  open_update %t
+  setfield %t, P.x, %b
+  atomic_end
+  atomic_begin
+  open_update %o
+  setfield %o, P.x, %a
+  atomic_end
+  ret
+}
+)");
+}
+
+//===----------------------------------------------------------------------===
 // OpenLicm
 //===----------------------------------------------------------------------===
 
