@@ -98,7 +98,7 @@ private:
   void emitSnapshotWindow(DInstr &D, int Block, std::size_t Idx) {
     if (!LI)
       LI = computeLiveness(F);
-    LiveSet Regs, Locals;
+    BitVector Regs, Locals;
     liveBeforeInstr(F, *LI, Block, Idx, Regs, Locals);
     D.A = static_cast<uint32_t>(DF.Pool.size());
     for (uint32_t R = 0; R < DF.NumRegs; ++R)

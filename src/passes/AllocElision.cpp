@@ -15,53 +15,71 @@ using namespace otm::tmir;
 
 namespace {
 
-bool isFreshReg(const FactSet &Facts, const Value &V) {
-  return V.isReg() &&
-         Facts.count(
-             packFact(FactKind::FreshReg, static_cast<uint64_t>(V.regId())));
+uint64_t freshRegKey(int Reg) {
+  return packFact(FactKind::FreshReg, static_cast<uint64_t>(Reg));
 }
 
-void transferFresh(FactSet &Facts, const Instr &I) {
+uint64_t freshLocalKey(int Local) {
+  return packFact(FactKind::FreshLocal, static_cast<uint64_t>(Local));
+}
+
+bool isFreshReg(const FactTable &T, const BitVector &Facts, const Value &V) {
+  return V.isReg() && T.contains(Facts, freshRegKey(V.regId()));
+}
+
+void genFresh(const Instr &I, std::vector<uint64_t> &Keys) {
   switch (I.Op) {
   case Opcode::NewObj:
   case Opcode::NewArr:
-    killRegFacts(Facts, I.ResultReg);
-    Facts.insert(
-        packFact(FactKind::FreshReg, static_cast<uint64_t>(I.ResultReg)));
+  case Opcode::Mov:
+  case Opcode::LoadLocal:
+    if (I.ResultReg >= 0)
+      Keys.push_back(freshRegKey(I.ResultReg));
+    return;
+  case Opcode::StoreLocal:
+    Keys.push_back(freshLocalKey(I.LocalIdx));
+    return;
+  default:
+    return;
+  }
+}
+
+void transferFresh(const FactTable &T, BitVector &Facts, const Instr &I) {
+  switch (I.Op) {
+  case Opcode::NewObj:
+  case Opcode::NewArr:
+    T.killReg(Facts, I.ResultReg);
+    T.insert(Facts, freshRegKey(I.ResultReg));
     return;
   case Opcode::Mov: {
-    bool Fresh = isFreshReg(Facts, I.Operands[0]);
-    killRegFacts(Facts, I.ResultReg);
+    bool Fresh = isFreshReg(T, Facts, I.Operands[0]);
+    T.killReg(Facts, I.ResultReg);
     if (Fresh)
-      Facts.insert(
-          packFact(FactKind::FreshReg, static_cast<uint64_t>(I.ResultReg)));
+      T.insert(Facts, freshRegKey(I.ResultReg));
     return;
   }
   case Opcode::LoadLocal: {
-    bool Fresh = Facts.count(packFact(FactKind::FreshLocal,
-                                      static_cast<uint64_t>(I.LocalIdx))) != 0;
-    killRegFacts(Facts, I.ResultReg);
+    bool Fresh = T.contains(Facts, freshLocalKey(I.LocalIdx));
+    T.killReg(Facts, I.ResultReg);
     if (Fresh)
-      Facts.insert(
-          packFact(FactKind::FreshReg, static_cast<uint64_t>(I.ResultReg)));
+      T.insert(Facts, freshRegKey(I.ResultReg));
     return;
   }
   case Opcode::StoreLocal:
-    if (isFreshReg(Facts, I.Operands[0]))
-      Facts.insert(
-          packFact(FactKind::FreshLocal, static_cast<uint64_t>(I.LocalIdx)));
+    if (isFreshReg(T, Facts, I.Operands[0]))
+      T.insert(Facts, freshLocalKey(I.LocalIdx));
     else
-      killLocalFact(Facts, I.LocalIdx);
+      T.erase(Facts, freshLocalKey(I.LocalIdx));
     return;
   case Opcode::AtomicBegin:
   case Opcode::AtomicEnd:
     // Fresh means "allocated inside the current region"; objects from
     // before the transaction (or a previous one) are shared.
-    Facts.clear();
+    Facts.resetAll();
     return;
   default:
     if (I.ResultReg >= 0)
-      killRegFacts(Facts, I.ResultReg);
+      T.killReg(Facts, I.ResultReg);
     return;
   }
 }
@@ -76,23 +94,32 @@ bool AllocElisionPass::run(Module &M) {
   Removed = 0;
   for (std::unique_ptr<Function> &FP : M.Functions) {
     Function &F = *FP;
+    if (!hasBarrier(F))
+      continue;
     // In a transactional clone freshness survives from function entry only
     // if the allocation happened in this function; parameters are never
     // fresh, so starting from the empty set is correct for both kinds.
-    std::vector<FactSet> In = solveForward(F, transferFresh);
+    FactTable T(F, genFresh);
+    std::vector<BitVector> In =
+        solveForward(F, T, [&T](BitVector &Facts, const Instr &I) {
+          transferFresh(T, Facts, I);
+        });
     for (std::unique_ptr<BasicBlock> &BB : F.Blocks) {
-      FactSet Facts = In[BB->Id];
-      std::vector<Instr> Kept;
-      Kept.reserve(BB->Instrs.size());
-      for (Instr &I : BB->Instrs) {
-        if (isBarrier(I.Op) && isFreshReg(Facts, I.Operands[0])) {
+      BitVector &Facts = In[BB->Id];
+      std::vector<Instr> &Instrs = BB->Instrs;
+      std::size_t Kept = 0;
+      for (std::size_t II = 0; II < Instrs.size(); ++II) {
+        if (isBarrier(Instrs[II].Op) &&
+            isFreshReg(T, Facts, Instrs[II].Operands[0])) {
           ++Removed;
           continue;
         }
-        transferFresh(Facts, I);
-        Kept.push_back(std::move(I));
+        transferFresh(T, Facts, Instrs[II]);
+        if (Kept != II)
+          Instrs[Kept] = std::move(Instrs[II]);
+        ++Kept;
       }
-      BB->Instrs = std::move(Kept);
+      Instrs.resize(Kept);
     }
   }
   StatFreshBarriersRemoved += Removed;

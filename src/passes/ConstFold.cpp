@@ -108,6 +108,7 @@ bool runOnFunction(Function &F, unsigned &Folded) {
           I.Operands.clear();
           I.TargetA = Target;
           I.TargetB = -1;
+          F.invalidateCfg();
           ++Folded;
           Iterate = Changed = true;
         }

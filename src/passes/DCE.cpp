@@ -36,23 +36,25 @@ bool runOnFunction(Function &F) {
   bool Iterate = true;
   while (Iterate) {
     Iterate = false;
-    std::vector<bool> Used(F.RegNames.size(), false);
+    std::vector<uint8_t> Used(F.RegNames.size(), 0);
     for (std::unique_ptr<BasicBlock> &BB : F.Blocks)
       for (Instr &I : BB->Instrs)
         for (const Value &V : I.Operands)
           if (V.isReg())
-            Used[V.regId()] = true;
+            Used[V.regId()] = 1;
     for (std::unique_ptr<BasicBlock> &BB : F.Blocks) {
-      std::vector<Instr> Kept;
-      Kept.reserve(BB->Instrs.size());
-      for (Instr &I : BB->Instrs) {
-        if (isRemovableWhenUnused(I) && !Used[I.ResultReg]) {
+      std::vector<Instr> &Instrs = BB->Instrs;
+      std::size_t Kept = 0;
+      for (std::size_t II = 0; II < Instrs.size(); ++II) {
+        if (isRemovableWhenUnused(Instrs[II]) && !Used[Instrs[II].ResultReg]) {
           Changed = Iterate = true;
           continue;
         }
-        Kept.push_back(std::move(I));
+        if (Kept != II)
+          Instrs[Kept] = std::move(Instrs[II]);
+        ++Kept;
       }
-      BB->Instrs = std::move(Kept);
+      Instrs.resize(Kept);
     }
   }
   return Changed;

@@ -7,8 +7,8 @@
 /// \file
 /// Shared machinery for the barrier dataflow passes: packed fact keys
 /// (open-available, undo-logged, freshly-allocated, anticipated-update),
-/// set intersection meets, and optimistic iterative forward/backward
-/// solvers over a TMIR function's CFG.
+/// a per-function dense numbering of those keys, and optimistic worklist
+/// solvers over bit-vector fact sets.
 ///
 /// Facts always refer to virtual registers; because each register has one
 /// static definition, a fact is invalidated exactly when its register's
@@ -16,22 +16,25 @@
 /// facts mentioning a register at its definition, which is what makes the
 /// analysis sound around loop back edges.
 ///
+/// Each pass numbers the facts it can generate in a function once
+/// (FactTable); a fact set is then a BitVector over those numbers, and
+/// killing a register's facts is one and-not with that register's mask.
+/// A fact no instruction generates has no number and is never in a set.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef OTM_PASSES_DATAFLOWUTIL_H
 #define OTM_PASSES_DATAFLOWUTIL_H
 
+#include "support/BitVector.h"
+#include "tmir/CfgInfo.h"
 #include "tmir/IR.h"
 
 #include <cstdint>
-#include <optional>
-#include <set>
 #include <vector>
 
 namespace otm {
 namespace passes {
-
-using FactSet = std::set<uint64_t>;
 
 //===----------------------------------------------------------------------===
 // Fact keys
@@ -67,134 +70,221 @@ inline uint64_t packUndoElem(int ArrReg, const tmir::Value &Idx) {
   return 0;
 }
 
-/// Removes every fact that mentions register \p Reg (as object or index).
-inline void killRegFacts(FactSet &Facts, int Reg) {
-  uint64_t R = static_cast<uint64_t>(Reg);
-  for (auto It = Facts.begin(); It != Facts.end();) {
-    FactKind Kind = static_cast<FactKind>(*It >> 60);
-    uint64_t A = (*It >> 40) & 0xfffff;
-    uint64_t B = (*It >> 20) & 0xfffff;
-    bool Mentions = false;
-    switch (Kind) {
-    case FactKind::OpenRead:
-    case FactKind::OpenUpdate:
-    case FactKind::UndoField:
-    case FactKind::UndoElemImm:
-    case FactKind::FreshReg:
-    case FactKind::WillUpdate:
-      Mentions = (A == R);
-      break;
-    case FactKind::UndoElemReg:
-      Mentions = (A == R || B == R);
-      break;
-    case FactKind::FreshLocal:
-      Mentions = false;
-      break;
-    }
-    It = Mentions ? Facts.erase(It) : ++It;
+/// The fact barrier \p I establishes about its operand (an update open also
+/// makes the read open available; see OpenElim), or 0 for a non-barrier, a
+/// barrier on a constant, or an unrepresentable undo index.
+inline uint64_t barrierKey(const tmir::Instr &I) {
+  if (!tmir::isBarrier(I.Op) || !I.Operands[0].isReg())
+    return 0;
+  uint64_t R = static_cast<uint64_t>(I.Operands[0].regId());
+  switch (I.Op) {
+  case tmir::Opcode::OpenForRead:
+    return packFact(FactKind::OpenRead, R);
+  case tmir::Opcode::OpenForUpdate:
+    return packFact(FactKind::OpenUpdate, R);
+  case tmir::Opcode::LogUndoField:
+    return packFact(FactKind::UndoField, R, static_cast<uint64_t>(I.ClassId),
+                    static_cast<uint64_t>(I.FieldIdx));
+  default:
+    return packUndoElem(I.Operands[0].regId(), I.Operands[1]);
   }
 }
 
-inline void killLocalFact(FactSet &Facts, int Local) {
-  Facts.erase(packFact(FactKind::FreshLocal, static_cast<uint64_t>(Local)));
+/// True if \p F has any barrier (the passes skip functions without one).
+inline bool hasBarrier(const tmir::Function &F) {
+  for (const std::unique_ptr<tmir::BasicBlock> &BB : F.Blocks)
+    for (const tmir::Instr &I : BB->Instrs)
+      if (tmir::isBarrier(I.Op))
+        return true;
+  return false;
 }
 
-inline void intersectInto(FactSet &Dst, const FactSet &Src) {
-  for (auto It = Dst.begin(); It != Dst.end();)
-    It = Src.count(*It) ? ++It : Dst.erase(It);
-}
+//===----------------------------------------------------------------------===
+// Fact numbering
+//===----------------------------------------------------------------------===
+
+/// The facts one pass can generate in one function, numbered densely.
+class FactTable {
+public:
+  /// Numbers every key \p Gen reports: Gen(I, Keys) appends to Keys the
+  /// (non-zero) fact keys instruction I may generate.
+  template <typename GenFn> FactTable(const tmir::Function &F, GenFn Gen) {
+    std::vector<uint64_t> Found;
+    for (const std::unique_ptr<tmir::BasicBlock> &BB : F.Blocks)
+      for (const tmir::Instr &I : BB->Instrs)
+        Gen(I, Found);
+    build(F.numRegs(), Found);
+  }
+
+  std::size_t size() const { return Keys.size(); }
+
+  /// An empty fact set sized for this table.
+  BitVector emptySet() const { return BitVector(Keys.size()); }
+
+  /// The number of \p Key, or -1 when no instruction generates it.
+  int find(uint64_t Key) const {
+    if (Key == 0 || Slots.empty())
+      return -1;
+    for (std::size_t S = slotOf(Key);; S = (S + 1) & (Slots.size() - 1)) {
+      if (Slots[S] == Key)
+        return SlotBits[S];
+      if (Slots[S] == 0)
+        return -1;
+    }
+  }
+
+  void insert(BitVector &Facts, uint64_t Key) const {
+    int Bit = find(Key);
+    if (Bit >= 0)
+      Facts.set(static_cast<std::size_t>(Bit));
+  }
+
+  void erase(BitVector &Facts, uint64_t Key) const {
+    int Bit = find(Key);
+    if (Bit >= 0)
+      Facts.reset(static_cast<std::size_t>(Bit));
+  }
+
+  bool contains(const BitVector &Facts, uint64_t Key) const {
+    int Bit = find(Key);
+    return Bit >= 0 && Facts.test(static_cast<std::size_t>(Bit));
+  }
+
+  /// Removes every fact that mentions register \p Reg (as object or index).
+  void killReg(BitVector &Facts, int Reg) const {
+    if (Reg < static_cast<int>(MaskOf.size()) && MaskOf[Reg] >= 0)
+      Facts.subtract(Masks[MaskOf[Reg]]);
+  }
+
+private:
+  void build(int NumRegs, std::vector<uint64_t> &Found);
+
+  std::size_t slotOf(uint64_t Key) const {
+    return static_cast<std::size_t>((Key * 0x9E3779B97F4A7C15ull) >> Shift);
+  }
+
+  std::vector<uint64_t> Keys;  ///< number -> key
+  std::vector<uint64_t> Slots; ///< open-addressed key table, 0 = empty
+  std::vector<int> SlotBits;   ///< number of the key in each slot
+  unsigned Shift = 64;
+  std::vector<int> MaskOf;      ///< register -> index into Masks, or -1
+  std::vector<BitVector> Masks; ///< facts mentioning each such register
+};
 
 //===----------------------------------------------------------------------===
 // Iterative solvers
 //===----------------------------------------------------------------------===
+//
+// Both solvers are optimistic: a block stays TOP (the identity of the
+// intersection meet) until a neighbour with known facts reaches it, and a
+// TOP neighbour is skipped in a meet. Sweeps follow CfgInfo::order()
+// (reversed for the backward problem), revisiting only blocks whose inputs
+// changed. The result is the greatest fixpoint, so it does not depend on
+// the sweep order. A block the problem never reaches is reported empty.
 
-/// Optimistic forward must-analysis: IN[entry] = {}, meet = intersection,
-/// unknown predecessors are TOP (identity). \p Transfer mutates the fact
-/// set per instruction. Returns IN per block.
+/// Forward must-analysis: IN[entry] = {} and IN of a block without
+/// predecessors = {}; otherwise IN = intersection of the known
+/// predecessors' OUTs. \p Transfer(Facts, I) applies one instruction.
+/// Returns IN per block.
 template <typename TransferFn>
-std::vector<FactSet> solveForward(const tmir::Function &F,
-                                  TransferFn Transfer) {
+std::vector<BitVector> solveForward(const tmir::Function &F,
+                                    const FactTable &Table,
+                                    TransferFn Transfer) {
+  const tmir::CfgInfo &Cfg = F.cfg();
+  const std::vector<std::vector<int>> &Preds = Cfg.preds();
   std::size_t N = F.Blocks.size();
-  std::vector<std::optional<FactSet>> Out(N);
-  std::vector<FactSet> In(N);
-  std::vector<std::vector<int>> Preds = F.computePredecessors();
+  std::vector<BitVector> In(N, Table.emptySet()), Out(N, Table.emptySet());
+  std::vector<uint8_t> Known(N, 0), Pending(N, 1);
+  BitVector Facts = Table.emptySet();
 
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (std::size_t B = 0; B < N; ++B) {
-      // Meet over predecessors (entry block meets nothing).
-      FactSet NewIn;
-      bool First = true;
-      if (B != 0) {
-        bool AnyKnown = false;
+  for (bool Again = true; Again;) {
+    Again = false;
+    for (int B : Cfg.order()) {
+      if (!Pending[B])
+        continue;
+      Pending[B] = 0;
+      bool AnyKnown = false;
+      if (B != 0)
         for (int P : Preds[B]) {
-          if (!Out[P])
+          if (!Known[P])
             continue; // TOP: identity for intersection
+          if (AnyKnown)
+            In[B].intersectWith(Out[P]);
+          else
+            In[B] = Out[P];
           AnyKnown = true;
-          if (First) {
-            NewIn = *Out[P];
-            First = false;
-          } else {
-            intersectInto(NewIn, *Out[P]);
-          }
         }
-        if (!AnyKnown && !Preds[B].empty())
-          continue; // all preds TOP: stay optimistic this round
+      if (!AnyKnown) {
+        if (B != 0 && !Preds[B].empty())
+          continue; // every predecessor is still TOP
+        In[B].resetAll();
       }
-      FactSet NewOut = NewIn;
+      Facts = In[B];
       for (const tmir::Instr &I : F.Blocks[B]->Instrs)
-        Transfer(NewOut, I);
-      if (!Out[B] || *Out[B] != NewOut || In[B] != NewIn) {
-        In[B] = std::move(NewIn);
-        Out[B] = std::move(NewOut);
-        Changed = true;
+        Transfer(Facts, I);
+      if (Known[B] && Facts == Out[B])
+        continue;
+      Known[B] = 1;
+      Out[B] = Facts;
+      for (int S : F.Blocks[B]->successors()) {
+        Pending[S] = 1;
+        Again |= Cfg.orderIndex(S) <= Cfg.orderIndex(B);
       }
     }
   }
   return In;
 }
 
-/// Optimistic backward must-analysis: OUT[b] = intersection of successor
-/// INs; exit blocks get {}. \p Transfer is applied to instructions in
-/// reverse. Returns OUT per block.
+/// Backward must-analysis: OUT of a block without successors = {};
+/// otherwise OUT = intersection of the known successors' INs. \p Transfer
+/// is applied to the block's instructions in reverse. Returns OUT per
+/// block.
 template <typename TransferFn>
-std::vector<FactSet> solveBackward(const tmir::Function &F,
-                                   TransferFn Transfer) {
+std::vector<BitVector> solveBackward(const tmir::Function &F,
+                                     const FactTable &Table,
+                                     TransferFn Transfer) {
+  const tmir::CfgInfo &Cfg = F.cfg();
+  const std::vector<std::vector<int>> &Preds = Cfg.preds();
+  const std::vector<int> &Order = Cfg.order();
   std::size_t N = F.Blocks.size();
-  std::vector<std::optional<FactSet>> In(N);
-  std::vector<FactSet> Out(N);
+  std::vector<BitVector> In(N, Table.emptySet()), Out(N, Table.emptySet());
+  std::vector<uint8_t> Known(N, 0), Pending(N, 1);
+  BitVector Facts = Table.emptySet();
 
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (std::size_t BI = N; BI > 0; --BI) {
-      std::size_t B = BI - 1;
-      std::vector<int> Succs = F.Blocks[B]->successors();
-      FactSet NewOut;
-      bool First = true;
-      bool AnyKnown = Succs.empty();
-      for (int S : Succs) {
-        if (!In[S])
-          continue;
-        AnyKnown = true;
-        if (First) {
-          NewOut = *In[S];
-          First = false;
-        } else {
-          intersectInto(NewOut, *In[S]);
-        }
-      }
-      if (!AnyKnown)
+  for (bool Again = true; Again;) {
+    Again = false;
+    for (std::size_t OI = Order.size(); OI > 0; --OI) {
+      int B = Order[OI - 1];
+      if (!Pending[B])
         continue;
-      FactSet NewIn = NewOut;
+      Pending[B] = 0;
+      tmir::SuccRange Succs = F.Blocks[B]->successors();
+      bool AnyKnown = false;
+      for (int S : Succs) {
+        if (!Known[S])
+          continue;
+        if (AnyKnown)
+          Out[B].intersectWith(In[S]);
+        else
+          Out[B] = In[S];
+        AnyKnown = true;
+      }
+      if (!AnyKnown) {
+        if (!Succs.empty())
+          continue; // every successor is still TOP
+        Out[B].resetAll();
+      }
+      Facts = Out[B];
       const std::vector<tmir::Instr> &Instrs = F.Blocks[B]->Instrs;
       for (std::size_t I = Instrs.size(); I > 0; --I)
-        Transfer(NewIn, Instrs[I - 1]);
-      if (!In[B] || *In[B] != NewIn || Out[B] != NewOut) {
-        Out[B] = std::move(NewOut);
-        In[B] = std::move(NewIn);
-        Changed = true;
+        Transfer(Facts, Instrs[I - 1]);
+      if (Known[B] && Facts == In[B])
+        continue;
+      Known[B] = 1;
+      In[B] = Facts;
+      for (int P : Preds[B]) {
+        Pending[P] = 1;
+        Again |= Cfg.orderIndex(P) >= Cfg.orderIndex(B);
       }
     }
   }

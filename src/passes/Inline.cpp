@@ -9,6 +9,7 @@
 #include "obs/Statistic.h"
 #include "tmir/AtomicRegions.h"
 
+#include <optional>
 #include <string>
 
 using namespace otm;
@@ -129,25 +130,30 @@ unsigned runOnFunction(Module &M, Function &Caller, unsigned Budget,
   // Scan a snapshot of block count: blocks added by inlining are bodies we
   // should not rescan this round.
   std::size_t OrigBlocks = Caller.Blocks.size();
+  // Region membership changes only when a call is inlined (blocks are
+  // split and bodies added), so it is rebuilt only then.
+  std::optional<AtomicRegions> AR;
   for (std::size_t B = 0; B < OrigBlocks; ++B) {
-    // Region membership changes as blocks are split; recompute per block.
-    AtomicRegions AR(Caller);
-    if (!AR.valid())
-      return Done;
     for (std::size_t I = 0; I < Caller.Blocks[B]->Instrs.size(); ++I) {
       const Instr &Ins = Caller.Blocks[B]->Instrs[I];
       if (Ins.Op != Opcode::Call)
         continue;
+      if (!AR)
+        AR.emplace(Caller);
+      if (!AR->valid())
+        return Done;
       Function &Callee = *M.Functions[Ins.CalleeIdx];
       if (&Callee == &Caller)
         continue; // direct recursion
       if (instrCount(Callee) > Budget)
         continue;
       bool SiteInAtomic = Caller.IsAllAtomic ||
-                          AR.inAtomic(static_cast<int>(B), I);
+                          AR->inAtomic(static_cast<int>(B), I);
       if (SiteInAtomic && hasAtomicMarkers(Callee))
         continue; // would textually nest regions
       inlineCall(Caller, Callee, static_cast<int>(B), I, Serial++);
+      AR.reset();
+      Caller.invalidateCfg();
       ++Done;
       // The block was split: everything after the call moved to the join
       // block, so this block holds no further calls this round.

@@ -15,8 +15,7 @@
 
 #include "passes/LocalCSE.h"
 
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 using namespace otm;
 using namespace otm::passes;
@@ -24,65 +23,84 @@ using namespace otm::tmir;
 
 namespace {
 
-/// Rewrites every use of register \p Reg in \p F to \p Replacement.
-void replaceAllUses(Function &F, int Reg, const Value &Replacement) {
-  for (std::unique_ptr<BasicBlock> &BB : F.Blocks)
-    for (Instr &I : BB->Instrs)
-      for (Value &V : I.Operands)
-        if (V.isReg() && V.regId() == Reg)
-          V = Replacement;
-}
-
 bool runOnFunction(Function &F) {
   bool Changed = false;
-  for (std::unique_ptr<BasicBlock> &BB : F.Blocks) {
-    // Registers defined earlier in this block (safe forwarding sources).
-    std::unordered_set<int> DefinedHere;
-    // Known value of each local slot, if forwardable.
-    std::unordered_map<int, Value> SlotValue;
+  std::size_t NumRegs = F.RegNames.size();
+  // What each register of a dropped load or copy is replaced by (None if
+  // it is kept). Operands are rewritten as their instruction is reached,
+  // and once more at the end for uses that precede the definition.
+  std::vector<Value> Replacement(NumRegs);
+  // The block whose kept instruction defines each register (-1 if none):
+  // the safe forwarding sources are those defined earlier in this block.
+  std::vector<int> DefBlock(NumRegs, -1);
+  // The forwardable value of each local slot, valid within SlotBlock.
+  std::vector<Value> SlotValue(F.Locals.size());
+  std::vector<int> SlotBlock(F.Locals.size(), -1);
 
+  auto Rewrite = [&](Instr &I) {
+    for (Value &V : I.Operands)
+      if (V.isReg() && !Replacement[V.regId()].isNone())
+        V = Replacement[V.regId()];
+  };
+
+  for (std::unique_ptr<BasicBlock> &BB : F.Blocks) {
+    const int Id = BB->Id;
     auto Forwardable = [&](const Value &V) {
       if (V.isImm() || V.isNull())
         return true;
-      return V.isReg() && DefinedHere.count(V.regId()) != 0;
+      return V.isReg() && DefBlock[V.regId()] == Id;
     };
 
-    std::vector<Instr> Kept;
-    Kept.reserve(BB->Instrs.size());
-    for (Instr &I : BB->Instrs) {
+    std::vector<Instr> &Instrs = BB->Instrs;
+    std::size_t Kept = 0;
+    for (std::size_t II = 0; II < Instrs.size(); ++II) {
+      Instr &I = Instrs[II];
+      Rewrite(I);
+      bool Drop = false;
       switch (I.Op) {
-      case Opcode::LoadLocal: {
-        auto It = SlotValue.find(I.LocalIdx);
-        if (It != SlotValue.end()) {
-          replaceAllUses(F, I.ResultReg, It->second);
-          Changed = true;
-          continue; // drop the redundant load
+      case Opcode::LoadLocal:
+        if (SlotBlock[I.LocalIdx] == Id) {
+          Replacement[I.ResultReg] = SlotValue[I.LocalIdx];
+          Drop = true; // the redundant load
+        } else {
+          SlotValue[I.LocalIdx] = Value::reg(I.ResultReg);
+          SlotBlock[I.LocalIdx] = Id;
         }
-        SlotValue[I.LocalIdx] = Value::reg(I.ResultReg);
         break;
-      }
       case Opcode::StoreLocal:
-        if (Forwardable(I.Operands[0]))
+        if (Forwardable(I.Operands[0])) {
           SlotValue[I.LocalIdx] = I.Operands[0];
-        else
-          SlotValue.erase(I.LocalIdx);
+          SlotBlock[I.LocalIdx] = Id;
+        } else {
+          SlotBlock[I.LocalIdx] = -1;
+        }
         break;
       case Opcode::Mov:
         if (Forwardable(I.Operands[0])) {
-          replaceAllUses(F, I.ResultReg, I.Operands[0]);
-          Changed = true;
-          continue; // drop the copy
+          Replacement[I.ResultReg] = I.Operands[0];
+          Drop = true; // the copy
         }
         break;
       default:
         break;
       }
+      if (Drop) {
+        Changed = true;
+        continue;
+      }
       if (I.ResultReg >= 0)
-        DefinedHere.insert(I.ResultReg);
-      Kept.push_back(std::move(I));
+        DefBlock[I.ResultReg] = Id;
+      if (Kept != II)
+        Instrs[Kept] = std::move(I);
+      ++Kept;
     }
-    BB->Instrs = std::move(Kept);
+    Instrs.resize(Kept);
   }
+
+  if (Changed)
+    for (std::unique_ptr<BasicBlock> &BB : F.Blocks)
+      for (Instr &I : BB->Instrs)
+        Rewrite(I);
   return Changed;
 }
 

@@ -15,69 +15,52 @@ using namespace otm::tmir;
 
 namespace {
 
+/// The read-open fact an update open of \p I's operand also establishes.
+uint64_t subsumedReadKey(const Instr &I) {
+  return packFact(FactKind::OpenRead,
+                  static_cast<uint64_t>(I.Operands[0].regId()));
+}
+
+/// The facts \p I can make available.
+void genOpen(const Instr &I, std::vector<uint64_t> &Keys) {
+  if (uint64_t Key = barrierKey(I)) {
+    Keys.push_back(Key);
+    if (I.Op == Opcode::OpenForUpdate)
+      Keys.push_back(subsumedReadKey(I));
+  }
+}
+
 /// Applies the availability transfer for one instruction to \p Facts.
-void transferOpen(FactSet &Facts, const Instr &I) {
+void transferOpen(const FactTable &T, BitVector &Facts, const Instr &I) {
   switch (I.Op) {
   case Opcode::OpenForRead:
-    if (I.Operands[0].isReg())
-      Facts.insert(packFact(FactKind::OpenRead,
-                            static_cast<uint64_t>(I.Operands[0].regId())));
-    return;
   case Opcode::OpenForUpdate:
-    if (I.Operands[0].isReg()) {
-      uint64_t R = static_cast<uint64_t>(I.Operands[0].regId());
-      Facts.insert(packFact(FactKind::OpenUpdate, R));
-      Facts.insert(packFact(FactKind::OpenRead, R)); // update subsumes read
-    }
-    return;
   case Opcode::LogUndoField:
-    if (I.Operands[0].isReg())
-      Facts.insert(packFact(FactKind::UndoField,
-                            static_cast<uint64_t>(I.Operands[0].regId()),
-                            static_cast<uint64_t>(I.ClassId),
-                            static_cast<uint64_t>(I.FieldIdx)));
-    return;
   case Opcode::LogUndoElem:
-    if (I.Operands[0].isReg())
-      if (uint64_t Key = packUndoElem(I.Operands[0].regId(), I.Operands[1]))
-        Facts.insert(Key);
+    if (uint64_t Key = barrierKey(I)) {
+      T.insert(Facts, Key);
+      if (I.Op == Opcode::OpenForUpdate) // update subsumes read
+        T.insert(Facts, subsumedReadKey(I));
+    }
     return;
   case Opcode::AtomicBegin:
   case Opcode::AtomicEnd:
-    Facts.clear();
+    Facts.resetAll();
     return;
   default:
     if (I.ResultReg >= 0)
-      killRegFacts(Facts, I.ResultReg);
+      T.killReg(Facts, I.ResultReg);
     return;
   }
 }
 
-/// True if \p I is redundant given available \p Facts.
-bool isRedundant(const FactSet &Facts, const Instr &I) {
+/// True if \p I is redundant given available \p Facts: a barrier on null
+/// (a runtime no-op), or one whose fact is already available (an update
+/// open makes both opens available, a read open only the read one).
+bool isRedundant(const FactTable &T, const BitVector &Facts, const Instr &I) {
   if (!isBarrier(I.Op))
     return false;
-  if (I.Operands[0].isNull())
-    return true; // barrier on null is a no-op
-  if (!I.Operands[0].isReg())
-    return false;
-  uint64_t R = static_cast<uint64_t>(I.Operands[0].regId());
-  switch (I.Op) {
-  case Opcode::OpenForRead:
-    return Facts.count(packFact(FactKind::OpenRead, R)) != 0;
-  case Opcode::OpenForUpdate:
-    return Facts.count(packFact(FactKind::OpenUpdate, R)) != 0;
-  case Opcode::LogUndoField:
-    return Facts.count(packFact(FactKind::UndoField, R,
-                                static_cast<uint64_t>(I.ClassId),
-                                static_cast<uint64_t>(I.FieldIdx))) != 0;
-  case Opcode::LogUndoElem: {
-    uint64_t Key = packUndoElem(I.Operands[0].regId(), I.Operands[1]);
-    return Key != 0 && Facts.count(Key) != 0;
-  }
-  default:
-    return false;
-  }
+  return I.Operands[0].isNull() || T.contains(Facts, barrierKey(I));
 }
 
 } // namespace
@@ -89,20 +72,31 @@ bool OpenElimPass::run(Module &M) {
   Removed = 0;
   for (std::unique_ptr<Function> &FP : M.Functions) {
     Function &F = *FP;
-    std::vector<FactSet> In = solveForward(F, transferOpen);
+    if (!hasBarrier(F))
+      continue;
+    FactTable T(F, genOpen);
+    auto Transfer = [&T](BitVector &Facts, const Instr &I) {
+      transferOpen(T, Facts, I);
+    };
+    // Without numbered facts only barriers on null can go; skip the solve.
+    std::vector<BitVector> In =
+        T.size() ? solveForward(F, T, Transfer)
+                 : std::vector<BitVector>(F.Blocks.size());
     for (std::unique_ptr<BasicBlock> &BB : F.Blocks) {
-      FactSet Facts = In[BB->Id];
-      std::vector<Instr> Kept;
-      Kept.reserve(BB->Instrs.size());
-      for (Instr &I : BB->Instrs) {
-        if (isRedundant(Facts, I)) {
+      BitVector &Facts = In[BB->Id];
+      std::vector<Instr> &Instrs = BB->Instrs;
+      std::size_t Kept = 0;
+      for (std::size_t II = 0; II < Instrs.size(); ++II) {
+        if (isRedundant(T, Facts, Instrs[II])) {
           ++Removed;
           continue;
         }
-        transferOpen(Facts, I);
-        Kept.push_back(std::move(I));
+        transferOpen(T, Facts, Instrs[II]);
+        if (Kept != II)
+          Instrs[Kept] = std::move(Instrs[II]);
+        ++Kept;
       }
-      BB->Instrs = std::move(Kept);
+      Instrs.resize(Kept);
     }
   }
   StatOpensElided += Removed;

@@ -8,11 +8,9 @@
 
 #include "obs/Statistic.h"
 #include "passes/DataflowUtil.h"
-#include "tmir/AtomicRegions.h"
-#include "tmir/Dominators.h"
-#include "tmir/LoopInfo.h"
+#include "tmir/CfgInfo.h"
 
-#include <set>
+#include <algorithm>
 
 using namespace otm;
 using namespace otm::passes;
@@ -20,44 +18,27 @@ using namespace otm::tmir;
 
 namespace {
 
-/// Finds the block where register \p Reg is defined, or -1.
-int findDefBlock(const Function &F, int Reg) {
+/// The block defining each register of \p F, or -1.
+std::vector<int> defBlocks(const Function &F) {
+  std::vector<int> Def(static_cast<std::size_t>(F.numRegs()), -1);
   for (const std::unique_ptr<BasicBlock> &BB : F.Blocks)
     for (const Instr &I : BB->Instrs)
-      if (I.ResultReg == Reg)
-        return BB->Id;
-  return -1;
-}
-
-/// A stable key identifying a barrier for deduplication when hoisting.
-uint64_t barrierKey(const Instr &I) {
-  if (!I.Operands[0].isReg())
-    return 0;
-  uint64_t R = static_cast<uint64_t>(I.Operands[0].regId());
-  switch (I.Op) {
-  case Opcode::OpenForRead:
-    return packFact(FactKind::OpenRead, R);
-  case Opcode::OpenForUpdate:
-    return packFact(FactKind::OpenUpdate, R);
-  case Opcode::LogUndoField:
-    return packFact(FactKind::UndoField, R, static_cast<uint64_t>(I.ClassId),
-                    static_cast<uint64_t>(I.FieldIdx));
-  case Opcode::LogUndoElem:
-    return packUndoElem(I.Operands[0].regId(), I.Operands[1]);
-  default:
-    return 0;
-  }
+      if (I.ResultReg >= 0)
+        Def[I.ResultReg] = BB->Id;
+  return Def;
 }
 
 /// Performs one round of hoisting on \p F; returns hoist count (0 = done).
-unsigned hoistOnce(Function &F) {
-  AtomicRegions AR(F);
+/// \p DefBlock maps registers to defining blocks (hoisting barriers, which
+/// define nothing, and adding a preheader do not change it).
+unsigned hoistOnce(Function &F, const std::vector<int> &DefBlock) {
+  const CfgInfo &Cfg = F.cfg();
+  const AtomicRegions &AR = Cfg.regions();
   if (!AR.valid())
     return 0;
-  DominatorTree DT(F);
-  LoopInfo LI(F, DT);
+  const DominatorTree &DT = Cfg.domTree();
 
-  for (const Loop &L : LI.loops()) {
+  for (const Loop &L : Cfg.loops().loops()) {
     // The whole loop must run transactionally: every block enters inside a
     // region and contains no region markers.
     bool FullyAtomic = true;
@@ -81,7 +62,7 @@ unsigned hoistOnce(Function &F) {
       std::size_t Index;
     };
     std::vector<Candidate> Candidates;
-    std::set<uint64_t> Keys;
+    std::vector<uint64_t> Keys;
     for (int B : L.Blocks) {
       bool DominatesLatches = true;
       for (int Latch : L.Latches)
@@ -100,7 +81,7 @@ unsigned hoistOnce(Function &F) {
         bool Invariant = true;
         for (const Value &V : I.Operands)
           if (V.isReg()) {
-            int Def = findDefBlock(F, V.regId());
+            int Def = DefBlock[V.regId()];
             if (Def < 0 || L.contains(Def)) {
               Invariant = false;
               break;
@@ -109,9 +90,10 @@ unsigned hoistOnce(Function &F) {
         if (!Invariant)
           continue;
         uint64_t Key = barrierKey(I);
-        if (Key == 0 || Keys.count(Key))
+        if (Key == 0 ||
+            std::find(Keys.begin(), Keys.end(), Key) != Keys.end())
           continue; // unkeyable or duplicate of an already-hoisted barrier
-        Keys.insert(Key);
+        Keys.push_back(Key);
         Candidates.push_back({B, II});
       }
     }
@@ -119,18 +101,19 @@ unsigned hoistOnce(Function &F) {
       continue;
 
     // Find or create the preheader.
-    std::vector<std::vector<int>> Preds = F.computePredecessors();
     std::vector<int> Outside;
-    for (int P : Preds[L.Header])
+    for (int P : Cfg.preds()[L.Header])
       if (!L.contains(P))
         Outside.push_back(P);
     BasicBlock *Preheader = nullptr;
+    bool NewPreheader = false;
     if (Outside.size() == 1) {
       BasicBlock &Cand = *F.Blocks[Outside[0]];
       if (Cand.terminator().Op == Opcode::Br)
         Preheader = &Cand;
     }
     if (!Preheader) {
+      NewPreheader = true;
       Preheader = F.addBlock(F.Blocks[L.Header]->Name + "$preheader");
       Instr Jump = Instr::make(Opcode::Br);
       Jump.TargetA = L.Header;
@@ -156,6 +139,9 @@ unsigned hoistOnce(Function &F) {
     }
     Preheader->Instrs.insert(Preheader->Instrs.end() - 1, Moved.begin(),
                              Moved.end());
+    // Moving barriers keeps the CFG analyses valid; a new block does not.
+    if (NewPreheader)
+      F.invalidateCfg();
     return static_cast<unsigned>(Moved.size());
   }
   return 0;
@@ -169,10 +155,13 @@ OTM_STATISTIC(StatOpensHoisted, "open-licm", "opens-hoisted",
 bool OpenLicmPass::run(Module &M) {
   Hoisted = 0;
   for (std::unique_ptr<Function> &FP : M.Functions) {
+    if (!hasBarrier(*FP))
+      continue;
+    std::vector<int> DefBlock = defBlocks(*FP);
     // One loop is transformed per round (the CFG changes); cap rounds
     // defensively.
     for (unsigned Round = 0; Round < 64; ++Round) {
-      unsigned N = hoistOnce(*FP);
+      unsigned N = hoistOnce(*FP, DefBlock);
       if (N == 0)
         break;
       Hoisted += N;

@@ -49,12 +49,16 @@ BarrierCounts passes::countBarriers(const Module &M) {
 
 std::vector<PassReport> PassManager::run(Module &M) {
   std::vector<PassReport> Reports;
+  Reports.reserve(Passes.size());
+  // Each pass starts from the module the previous one left, so its Before
+  // counts are the previous After counts.
+  BarrierCounts Counts = countBarriers(M);
   for (std::unique_ptr<Pass> &P : Passes) {
     PassReport R;
     R.PassName = P->name();
-    R.Before = countBarriers(M);
+    R.Before = Counts;
     R.Changed = P->run(M);
-    R.After = countBarriers(M);
+    R.After = Counts = countBarriers(M);
     verifyModuleOrDie(M); // every pass must leave the module well-formed
     Reports.push_back(std::move(R));
   }

@@ -6,6 +6,8 @@
 
 #include "passes/SimplifyCFG.h"
 
+#include <algorithm>
+#include <iterator>
 #include <vector>
 
 using namespace otm;
@@ -39,56 +41,52 @@ void compactBlocks(Function &F, const std::vector<bool> &Dead) {
 }
 
 bool runOnFunction(Function &F) {
-  bool Changed = false;
-  bool Iterate = true;
-  while (Iterate) {
-    Iterate = false;
-    std::vector<bool> Dead(F.Blocks.size(), false);
+  std::size_t N = F.Blocks.size();
 
-    // Delete unreachable blocks.
-    std::vector<bool> Reachable(F.Blocks.size(), false);
-    std::vector<int> Work{0};
-    Reachable[0] = true;
-    while (!Work.empty()) {
-      int B = Work.back();
-      Work.pop_back();
+  // Delete unreachable blocks; they are nobody's predecessor below.
+  std::vector<bool> Dead(N, true);
+  Dead[0] = false;
+  std::vector<int> Work{0};
+  while (!Work.empty()) {
+    int B = Work.back();
+    Work.pop_back();
+    for (int S : F.Blocks[B]->successors())
+      if (Dead[S]) {
+        Dead[S] = false;
+        Work.push_back(S);
+      }
+  }
+  bool Changed = std::find(Dead.begin(), Dead.end(), true) != Dead.end();
+
+  std::vector<unsigned> NumPreds(N, 0);
+  for (std::size_t B = 0; B < N; ++B)
+    if (!Dead[B])
       for (int S : F.Blocks[B]->successors())
-        if (!Reachable[S]) {
-          Reachable[S] = true;
-          Work.push_back(S);
-        }
-    }
-    for (std::size_t B = 1; B < F.Blocks.size(); ++B)
-      if (!Reachable[B])
-        Dead[B] = Iterate = Changed = true;
+        ++NumPreds[S];
 
-    // Merge A -> B chains where A is B's unique predecessor.
-    std::vector<std::vector<int>> Preds = F.computePredecessors();
-    for (std::size_t B = 0; B < F.Blocks.size(); ++B) {
-      if (Dead[B])
-        continue;
-      BasicBlock &A = *F.Blocks[B];
-      if (A.terminator().Op != Opcode::Br)
-        continue;
+  // Merge every A -> B chain where A is B's unique predecessor, in one
+  // sweep: a block keeps absorbing its successor while it can. A merge
+  // hands B's successor edges to A, so no predecessor count changes.
+  for (std::size_t B = 0; B < N; ++B) {
+    if (Dead[B])
+      continue;
+    BasicBlock &A = *F.Blocks[B];
+    while (A.terminator().Op == Opcode::Br) {
       int Succ = A.terminator().TargetA;
-      if (Succ == static_cast<int>(B) || Succ == 0 || Dead[Succ])
-        continue;
-      if (Preds[Succ].size() != 1)
-        continue;
+      if (Succ == static_cast<int>(B) || Succ == 0 || NumPreds[Succ] != 1)
+        break;
       A.Instrs.pop_back(); // the br
-      BasicBlock &BBlk = *F.Blocks[Succ];
-      for (Instr &I : BBlk.Instrs)
-        A.Instrs.push_back(std::move(I));
-      BBlk.Instrs.clear();
-      Dead[Succ] = Iterate = Changed = true;
-      break; // predecessor lists are stale; recompute
+      std::vector<Instr> &Absorbed = F.Blocks[Succ]->Instrs;
+      A.Instrs.insert(A.Instrs.end(), std::make_move_iterator(Absorbed.begin()),
+                      std::make_move_iterator(Absorbed.end()));
+      Absorbed.clear();
+      Dead[Succ] = Changed = true;
     }
+  }
 
-    bool AnyDead = false;
-    for (std::size_t B = 0; B < Dead.size(); ++B)
-      AnyDead |= Dead[B];
-    if (AnyDead)
-      compactBlocks(F, Dead);
+  if (Changed) {
+    compactBlocks(F, Dead);
+    F.invalidateCfg();
   }
   return Changed;
 }

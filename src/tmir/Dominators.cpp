@@ -11,7 +11,8 @@
 using namespace otm;
 using namespace otm::tmir;
 
-DominatorTree::DominatorTree(const Function &F) {
+DominatorTree::DominatorTree(const Function &F,
+                             const std::vector<std::vector<int>> &Preds) {
   std::size_t N = F.Blocks.size();
   Idom.assign(N, -1);
   RpoIndex.assign(N, -1);
@@ -25,7 +26,7 @@ DominatorTree::DominatorTree(const Function &F) {
   State[EntryId] = 1;
   while (!Stack.empty()) {
     auto &[Block, NextSucc] = Stack.back();
-    std::vector<int> Succs = F.Blocks[Block]->successors();
+    SuccRange Succs = F.Blocks[Block]->successors();
     if (NextSucc < Succs.size()) {
       int S = Succs[NextSucc++];
       if (State[S] == 0) {
@@ -41,8 +42,6 @@ DominatorTree::DominatorTree(const Function &F) {
   Rpo.assign(Post.rbegin(), Post.rend());
   for (std::size_t I = 0; I < Rpo.size(); ++I)
     RpoIndex[Rpo[I]] = static_cast<int>(I);
-
-  std::vector<std::vector<int>> Preds = F.computePredecessors();
 
   // Cooper-Harvey-Kennedy iteration.
   auto Intersect = [&](int A, int B) {

@@ -26,7 +26,10 @@ class DominatorTree {
 public:
   /// Builds the tree for \p F. Unreachable blocks get Idom -1 and are
   /// reported dominated by nothing (and dominating nothing but themselves).
-  explicit DominatorTree(const Function &F);
+  explicit DominatorTree(const Function &F)
+      : DominatorTree(F, F.computePredecessors()) {}
+  /// As above, reusing \p F's predecessor lists.
+  DominatorTree(const Function &F, const std::vector<std::vector<int>> &Preds);
 
   /// Immediate dominator block id, or -1 (entry / unreachable).
   int idom(int BlockId) const { return Idom[BlockId]; }

@@ -7,6 +7,7 @@
 #include "tmir/IR.h"
 
 #include "support/Compiler.h"
+#include "tmir/CfgInfo.h"
 
 #include <sstream>
 
@@ -133,6 +134,19 @@ bool tmir::isCompare(Opcode Op) {
     return false;
   }
 }
+
+Function::Function(std::string Name, int Id) : Name(std::move(Name)), Id(Id) {}
+
+Function::~Function() = default;
+
+const CfgInfo &Function::cfg() const {
+  if (!Cfg)
+    Cfg = std::make_unique<CfgInfo>(*this);
+  assert(Cfg->matches(*this) && "stale CFG analyses: missing invalidateCfg()");
+  return *Cfg;
+}
+
+void Function::invalidateCfg() { Cfg.reset(); }
 
 std::vector<std::vector<int>> Function::computePredecessors() const {
   std::vector<std::vector<int>> Preds(Blocks.size());

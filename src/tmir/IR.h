@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -171,6 +172,28 @@ struct Instr {
 // BasicBlock
 //===----------------------------------------------------------------------===
 
+/// A block's successor ids: a fixed two-slot range, so CFG walks allocate
+/// nothing.
+class SuccRange {
+public:
+  SuccRange() = default;
+  explicit SuccRange(int A) : Ids{A, -1}, Count(1) {}
+  SuccRange(int A, int B) : Ids{A, B}, Count(2) {}
+
+  const int *begin() const { return Ids; }
+  const int *end() const { return Ids + Count; }
+  std::size_t size() const { return Count; }
+  bool empty() const { return Count == 0; }
+  int operator[](std::size_t I) const {
+    assert(I < Count && "successor index out of range");
+    return Ids[I];
+  }
+
+private:
+  int Ids[2] = {-1, -1};
+  unsigned Count = 0;
+};
+
 class BasicBlock {
 public:
   explicit BasicBlock(std::string Name, int Id) : Name(std::move(Name)), Id(Id) {}
@@ -190,16 +213,16 @@ public:
     return !Instrs.empty() && isTerminator(Instrs.back().Op);
   }
 
-  /// Successor block ids (0, 1 or 2 entries).
-  std::vector<int> successors() const {
+  /// Successor block ids (0, 1 or 2 entries), without allocating.
+  SuccRange successors() const {
     if (!hasTerminator())
       return {};
     const Instr &T = terminator();
     switch (T.Op) {
     case Opcode::Br:
-      return {T.TargetA};
+      return SuccRange(T.TargetA);
     case Opcode::CondBr:
-      return {T.TargetA, T.TargetB};
+      return SuccRange(T.TargetA, T.TargetB);
     default:
       return {};
     }
@@ -220,7 +243,7 @@ struct ClassDecl {
   std::vector<FieldDecl> Fields;
 
   /// Returns the field index or -1.
-  int fieldIndex(const std::string &FieldName) const {
+  int fieldIndex(std::string_view FieldName) const {
     for (std::size_t I = 0; I < Fields.size(); ++I)
       if (Fields[I].Name == FieldName)
         return static_cast<int>(I);
@@ -237,9 +260,12 @@ struct LocalDecl {
 // Function
 //===----------------------------------------------------------------------===
 
+class CfgInfo;
+
 class Function {
 public:
-  Function(std::string Name, int Id) : Name(std::move(Name)), Id(Id) {}
+  Function(std::string Name, int Id);
+  ~Function();
 
   std::string Name;
   int Id;
@@ -276,15 +302,26 @@ public:
     return Blocks.front().get();
   }
 
-  int localIndex(const std::string &LocalName) const {
+  int localIndex(std::string_view LocalName) const {
     for (std::size_t I = 0; I < Locals.size(); ++I)
       if (Locals[I].Name == LocalName)
         return static_cast<int>(I);
     return -1;
   }
 
-  /// Predecessor lists, recomputed on demand (passes mutate the CFG).
+  /// Predecessor lists, computed afresh on every call.
   std::vector<std::vector<int>> computePredecessors() const;
+
+  /// The function's CFG analyses (predecessors, block order, dominators,
+  /// loops, atomic regions), built on first use and shared by every pass
+  /// until invalidateCfg(). A pass that adds, removes or reorders blocks,
+  /// changes a terminator or moves a region marker to another block must
+  /// call invalidateCfg() before the next query.
+  const CfgInfo &cfg() const;
+  void invalidateCfg();
+
+private:
+  mutable std::unique_ptr<CfgInfo> Cfg;
 };
 
 //===----------------------------------------------------------------------===
@@ -296,12 +333,12 @@ public:
   std::vector<ClassDecl> Classes;
   std::vector<std::unique_ptr<Function>> Functions;
 
-  int classIndex(const std::string &Name) const {
+  int classIndex(std::string_view Name) const {
     auto It = ClassIndex.find(Name);
     return It == ClassIndex.end() ? -1 : It->second;
   }
 
-  int functionIndex(const std::string &Name) const {
+  int functionIndex(std::string_view Name) const {
     auto It = FunctionIndex.find(Name);
     return It == FunctionIndex.end() ? -1 : It->second;
   }
@@ -311,7 +348,7 @@ public:
     return &Classes[Id];
   }
 
-  Function *functionByName(const std::string &Name) {
+  Function *functionByName(std::string_view Name) {
     int Idx = functionIndex(Name);
     return Idx < 0 ? nullptr : Functions[Idx].get();
   }
@@ -331,8 +368,18 @@ public:
   }
 
 private:
-  std::unordered_map<std::string, int> ClassIndex;
-  std::unordered_map<std::string, int> FunctionIndex;
+  /// Lets the name maps be searched with a std::string_view.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view S) const {
+      return std::hash<std::string_view>()(S);
+    }
+  };
+  using NameMap = std::unordered_map<std::string, int, NameHash,
+                                     std::equal_to<>>;
+
+  NameMap ClassIndex;
+  NameMap FunctionIndex;
 };
 
 //===----------------------------------------------------------------------===

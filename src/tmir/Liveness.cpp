@@ -13,11 +13,11 @@ namespace {
 
 /// Applies one instruction's transfer function in reverse:
 /// kill the definition, then gen the uses.
-void transferBackward(const Instr &I, LiveSet &Regs, LiveSet &Locals) {
+void transferBackward(const Instr &I, BitVector &Regs, BitVector &Locals) {
   if (I.ResultReg >= 0)
-    Regs.clear(static_cast<std::size_t>(I.ResultReg));
+    Regs.reset(static_cast<std::size_t>(I.ResultReg));
   if (I.Op == Opcode::StoreLocal)
-    Locals.clear(static_cast<std::size_t>(I.LocalIdx));
+    Locals.reset(static_cast<std::size_t>(I.LocalIdx));
   for (const Value &V : I.Operands)
     if (V.isReg())
       Regs.set(static_cast<std::size_t>(V.regId()));
@@ -33,10 +33,10 @@ LivenessInfo tmir::computeLiveness(const Function &F) {
   std::size_t NumLocals = F.Locals.size();
 
   LivenessInfo LI;
-  LI.RegIn.assign(N, LiveSet(NumRegs));
-  LI.RegOut.assign(N, LiveSet(NumRegs));
-  LI.LocalIn.assign(N, LiveSet(NumLocals));
-  LI.LocalOut.assign(N, LiveSet(NumLocals));
+  LI.RegIn.assign(N, BitVector(NumRegs));
+  LI.RegOut.assign(N, BitVector(NumRegs));
+  LI.LocalIn.assign(N, BitVector(NumLocals));
+  LI.LocalOut.assign(N, BitVector(NumLocals));
 
   bool Changed = true;
   while (Changed) {
@@ -44,12 +44,12 @@ LivenessInfo tmir::computeLiveness(const Function &F) {
     for (std::size_t BI = N; BI > 0; --BI) {
       std::size_t B = BI - 1;
       // OUT = union of successor INs (may-analysis).
-      LiveSet RegOut(NumRegs), LocalOut(NumLocals);
+      BitVector RegOut(NumRegs), LocalOut(NumLocals);
       for (int S : F.Blocks[B]->successors()) {
         RegOut.unionWith(LI.RegIn[S]);
         LocalOut.unionWith(LI.LocalIn[S]);
       }
-      LiveSet Regs = RegOut, Locals = LocalOut;
+      BitVector Regs = RegOut, Locals = LocalOut;
       const std::vector<Instr> &Instrs = F.Blocks[B]->Instrs;
       for (std::size_t I = Instrs.size(); I > 0; --I)
         transferBackward(Instrs[I - 1], Regs, Locals);
@@ -67,8 +67,8 @@ LivenessInfo tmir::computeLiveness(const Function &F) {
 }
 
 void tmir::liveBeforeInstr(const Function &F, const LivenessInfo &LI,
-                           int Block, std::size_t InstrIdx, LiveSet &Regs,
-                           LiveSet &Locals) {
+                           int Block, std::size_t InstrIdx, BitVector &Regs,
+                           BitVector &Locals) {
   Regs = LI.RegOut[Block];
   Locals = LI.LocalOut[Block];
   const std::vector<Instr> &Instrs = F.Blocks[Block]->Instrs;

@@ -21,47 +21,18 @@
 #ifndef OTM_TMIR_LIVENESS_H
 #define OTM_TMIR_LIVENESS_H
 
+#include "support/BitVector.h"
 #include "tmir/IR.h"
 
-#include <cstdint>
 #include <vector>
 
 namespace otm {
 namespace tmir {
 
-/// A fixed-capacity bitset over slot indices (registers or locals).
-class LiveSet {
-public:
-  LiveSet() = default;
-  explicit LiveSet(std::size_t Bits) : Words((Bits + 63) / 64, 0) {}
-
-  void set(std::size_t I) { Words[I / 64] |= uint64_t(1) << (I % 64); }
-  void clear(std::size_t I) { Words[I / 64] &= ~(uint64_t(1) << (I % 64)); }
-  bool test(std::size_t I) const {
-    return (Words[I / 64] >> (I % 64)) & 1;
-  }
-
-  /// Union-into; returns true when this set grew.
-  bool unionWith(const LiveSet &O) {
-    bool Grew = false;
-    for (std::size_t W = 0; W < Words.size(); ++W) {
-      uint64_t New = Words[W] | O.Words[W];
-      Grew |= New != Words[W];
-      Words[W] = New;
-    }
-    return Grew;
-  }
-
-  bool operator==(const LiveSet &O) const { return Words == O.Words; }
-
-private:
-  std::vector<uint64_t> Words;
-};
-
 /// Per-block live-in/live-out sets for registers and locals.
 struct LivenessInfo {
-  std::vector<LiveSet> RegIn, RegOut;
-  std::vector<LiveSet> LocalIn, LocalOut;
+  std::vector<BitVector> RegIn, RegOut;
+  std::vector<BitVector> LocalIn, LocalOut;
 };
 
 /// Runs the backward fixpoint over \p F's CFG.
@@ -71,7 +42,7 @@ LivenessInfo computeLiveness(const Function &F);
 /// (\p Block, \p InstrIdx) — i.e. the state a restart at that instruction
 /// may still read. Derived from \p LI by walking block \p Block backwards.
 void liveBeforeInstr(const Function &F, const LivenessInfo &LI, int Block,
-                     std::size_t InstrIdx, LiveSet &Regs, LiveSet &Locals);
+                     std::size_t InstrIdx, BitVector &Regs, BitVector &Locals);
 
 } // namespace tmir
 } // namespace otm

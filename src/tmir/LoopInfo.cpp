@@ -12,7 +12,8 @@
 using namespace otm;
 using namespace otm::tmir;
 
-LoopInfo::LoopInfo(const Function &F, const DominatorTree &DT) {
+LoopInfo::LoopInfo(const Function &F, const DominatorTree &DT,
+                   const std::vector<std::vector<int>> &Preds) {
   // Group back edges by header so a header with several latches forms one
   // loop.
   std::map<int, std::vector<int>> BackEdges;
@@ -24,7 +25,6 @@ LoopInfo::LoopInfo(const Function &F, const DominatorTree &DT) {
         BackEdges[Succ].push_back(BB->Id);
   }
 
-  std::vector<std::vector<int>> Preds = F.computePredecessors();
   for (auto &[Header, Latches] : BackEdges) {
     Loop L;
     L.Header = Header;

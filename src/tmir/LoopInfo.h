@@ -38,7 +38,11 @@ struct Loop {
 
 class LoopInfo {
 public:
-  LoopInfo(const Function &F, const DominatorTree &DT);
+  LoopInfo(const Function &F, const DominatorTree &DT)
+      : LoopInfo(F, DT, F.computePredecessors()) {}
+  /// As above, reusing \p F's predecessor lists.
+  LoopInfo(const Function &F, const DominatorTree &DT,
+           const std::vector<std::vector<int>> &Preds);
 
   const std::vector<Loop> &loops() const { return Loops; }
 

@@ -8,9 +8,10 @@
 
 #include "support/Compiler.h"
 
-#include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
 #include <unordered_map>
 
 using namespace otm;
@@ -37,24 +38,39 @@ enum class TokKind : uint8_t {
   End,
 };
 
+/// A token; Text views the source, which outlives the parse.
 struct Token {
   TokKind Kind = TokKind::End;
-  std::string Text;
+  std::string_view Text;
   int64_t IntValue = 0;
   int Line = 0;
 
   bool is(TokKind K) const { return Kind == K; }
-  bool isIdent(const char *S) const {
+  bool isIdent(std::string_view S) const {
     return Kind == TokKind::Ident && Text == S;
   }
 };
 
+// Character classes of the "C" locale, without the <cctype> calls.
+bool isDigit(char C) { return C >= '0' && C <= '9'; }
+bool isAlpha(char C) {
+  return (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z');
+}
+bool isSpace(char C) {
+  return C == ' ' || C == '\t' || C == '\n' || C == '\v' || C == '\f' ||
+         C == '\r';
+}
+bool isIdentChar(char C) {
+  return isAlpha(C) || isDigit(C) || C == '_' || C == '$';
+}
+
 class Lexer {
 public:
-  Lexer(const std::string &Text, std::string &Error)
+  Lexer(std::string_view Text, std::string &Error)
       : Text(Text), Error(Error) {}
 
-  /// Lexes the whole input; returns false on a bad character.
+  /// Lexes the whole input; returns false on a bad character or an integer
+  /// literal outside the i64 range.
   bool run(std::vector<Token> &Out) {
     std::size_t I = 0, N = Text.size();
     int Line = 1;
@@ -65,7 +81,7 @@ public:
         ++I;
         continue;
       }
-      if (std::isspace(static_cast<unsigned char>(C))) {
+      if (isSpace(C)) {
         ++I;
         continue;
       }
@@ -74,25 +90,28 @@ public:
           ++I;
         continue;
       }
-      if (std::isalpha(static_cast<unsigned char>(C)) || C == '_') {
+      if (isAlpha(C) || C == '_') {
         std::size_t Start = I;
-        while (I < N && (std::isalnum(static_cast<unsigned char>(Text[I])) ||
-                         Text[I] == '_' || Text[I] == '$'))
+        while (I < N && isIdentChar(Text[I]))
           ++I;
         Out.push_back({TokKind::Ident, Text.substr(Start, I - Start), 0, Line});
         continue;
       }
-      if (std::isdigit(static_cast<unsigned char>(C)) ||
-          (C == '-' && I + 1 < N &&
-           std::isdigit(static_cast<unsigned char>(Text[I + 1])))) {
+      if (isDigit(C) || (C == '-' && I + 1 < N && isDigit(Text[I + 1]))) {
         std::size_t Start = I;
         if (C == '-')
           ++I;
-        while (I < N && std::isdigit(static_cast<unsigned char>(Text[I])))
+        while (I < N && isDigit(Text[I]))
           ++I;
         Token T{TokKind::Int, Text.substr(Start, I - Start), 0, Line};
-        T.IntValue = std::strtoll(T.Text.c_str(), nullptr, 10);
-        Out.push_back(std::move(T));
+        std::from_chars_result R = std::from_chars(
+            T.Text.data(), T.Text.data() + T.Text.size(), T.IntValue);
+        if (R.ec != std::errc()) {
+          Error = "line " + std::to_string(Line) + ": integer literal " +
+                  std::string(T.Text) + " is out of the i64 range";
+          return false;
+        }
+        Out.push_back(T);
         continue;
       }
       TokKind K;
@@ -129,15 +148,15 @@ public:
                 std::string(1, C) + "'";
         return false;
       }
-      Out.push_back({K, std::string(1, C), 0, Line});
+      Out.push_back({K, Text.substr(I, 1), 0, Line});
       ++I;
     }
-    Out.push_back({TokKind::End, "", 0, Line});
+    Out.push_back({TokKind::End, std::string_view(), 0, Line});
     return true;
   }
 
 private:
-  const std::string &Text;
+  std::string_view Text;
   std::string &Error;
 };
 
@@ -172,7 +191,7 @@ private:
     std::size_t I = Pos + Ahead;
     return I < Toks.size() ? Toks[I] : Toks.back();
   }
-  Token next() { return Toks[Pos < Toks.size() - 1 ? Pos++ : Pos]; }
+  const Token &next() { return Toks[Pos < Toks.size() - 1 ? Pos++ : Pos]; }
 
   bool fail(const std::string &Msg) {
     Error = "line " + std::to_string(peek().Line) + ": " + Msg;
@@ -194,20 +213,20 @@ private:
           (I == 0 || !isDeclContext(I))) {
         if (M.classIndex(Toks[I + 1].Text) >= 0) {
           Error = "line " + std::to_string(Toks[I].Line) +
-                  ": duplicate class " + Toks[I + 1].Text;
+                  ": duplicate class " + std::string(Toks[I + 1].Text);
           return false;
         }
-        M.addClass(ClassDecl{Toks[I + 1].Text, {}});
+        M.addClass(ClassDecl{std::string(Toks[I + 1].Text), {}});
       }
       if ((Toks[I].isIdent("func") || Toks[I].isIdent("txfunc")) &&
           Toks[I + 1].is(TokKind::Ident) &&
           (I == 0 || !isDeclContext(I))) {
         if (M.functionIndex(Toks[I + 1].Text) >= 0) {
           Error = "line " + std::to_string(Toks[I].Line) +
-                  ": duplicate function " + Toks[I + 1].Text;
+                  ": duplicate function " + std::string(Toks[I + 1].Text);
           return false;
         }
-        M.addFunction(Toks[I + 1].Text);
+        M.addFunction(std::string(Toks[I + 1].Text));
       }
     }
     return true;
@@ -228,7 +247,7 @@ private:
   bool parseType(Type &Ty) {
     if (!peek().is(TokKind::Ident))
       return fail("expected a type");
-    std::string Name = next().Text;
+    std::string_view Name = next().Text;
     if (Name == "i64")
       Ty = Type::makeI64();
     else if (Name == "i1")
@@ -240,7 +259,7 @@ private:
     else {
       int Id = M.classIndex(Name);
       if (Id < 0)
-        return fail("unknown type '" + Name + "'");
+        return fail("unknown type '" + std::string(Name) + "'");
       Ty = Type::makeObj(Id);
     }
     return true;
@@ -250,15 +269,14 @@ private:
     next(); // class
     if (!peek().is(TokKind::Ident))
       return fail("expected class name");
-    std::string Name = next().Text;
-    ClassDecl &Decl = M.Classes[M.classIndex(Name)];
+    ClassDecl &Decl = M.Classes[M.classIndex(next().Text)];
     if (!expect(TokKind::LBrace, "'{'"))
       return false;
     while (!peek().is(TokKind::RBrace)) {
       if (!peek().is(TokKind::Ident))
         return fail("expected field name");
       FieldDecl Field;
-      Field.Name = next().Text;
+      Field.Name = std::string(next().Text);
       if (!expect(TokKind::Colon, "':'"))
         return false;
       if (!parseType(Field.Ty))
@@ -280,23 +298,21 @@ private:
   //===------------------------------------------------------------------===
 
   Function *F = nullptr;
-  std::unordered_map<std::string, int> RegIds;
-  std::unordered_map<std::string, int> BlockIds;
+  // Keyed by views of the source text.
+  std::unordered_map<std::string_view, int> RegIds;
+  std::unordered_map<std::string_view, int> BlockIds;
 
-  int regFor(const std::string &Name) {
-    auto It = RegIds.find(Name);
-    if (It != RegIds.end())
-      return It->second;
-    int Id = F->addReg(Name);
-    RegIds[Name] = Id;
-    return Id;
+  int regFor(std::string_view Name) {
+    auto [It, Inserted] = RegIds.try_emplace(Name, F->numRegs());
+    if (Inserted)
+      F->addReg(std::string(Name));
+    return It->second;
   }
 
   bool parseFunction() {
     bool AllAtomic = peek().isIdent("txfunc");
     next(); // func / txfunc
-    std::string Name = next().Text;
-    F = M.Functions[M.functionIndex(Name)].get();
+    F = M.Functions[M.functionIndex(next().Text)].get();
     F->IsAllAtomic = AllAtomic;
     RegIds.clear();
     BlockIds.clear();
@@ -307,7 +323,7 @@ private:
       LocalDecl Param;
       if (!peek().is(TokKind::Ident))
         return fail("expected parameter name");
-      Param.Name = next().Text;
+      Param.Name = std::string(next().Text);
       if (!expect(TokKind::Colon, "':'"))
         return false;
       if (!parseType(Param.Ty))
@@ -332,7 +348,7 @@ private:
       LocalDecl Local;
       if (!peek().is(TokKind::Ident))
         return fail("expected variable name");
-      Local.Name = next().Text;
+      Local.Name = std::string(next().Text);
       if (!expect(TokKind::Colon, "':'"))
         return false;
       if (!parseType(Local.Ty))
@@ -349,10 +365,10 @@ private:
       if (Toks[I].is(TokKind::Ident) && Toks[I + 1].is(TokKind::Colon)) {
         if (BlockIds.count(Toks[I].Text)) {
           Error = "line " + std::to_string(Toks[I].Line) +
-                  ": duplicate label '" + Toks[I].Text + "'";
+                  ": duplicate label '" + std::string(Toks[I].Text) + "'";
           return false;
         }
-        BlockIds[Toks[I].Text] = F->addBlock(Toks[I].Text)->Id;
+        BlockIds[Toks[I].Text] = F->addBlock(std::string(Toks[I].Text))->Id;
       }
     }
     if (F->Blocks.empty())
@@ -409,18 +425,19 @@ private:
   bool parseFieldRef(Instr &I) {
     if (!peek().is(TokKind::Ident))
       return fail("expected class name");
-    std::string ClassName = next().Text;
+    std::string_view ClassName = next().Text;
     int ClassId = M.classIndex(ClassName);
     if (ClassId < 0)
-      return fail("unknown class '" + ClassName + "'");
+      return fail("unknown class '" + std::string(ClassName) + "'");
     if (!expect(TokKind::Dot, "'.'"))
       return false;
     if (!peek().is(TokKind::Ident))
       return fail("expected field name");
-    std::string FieldName = next().Text;
+    std::string_view FieldName = next().Text;
     int FieldIdx = M.Classes[ClassId].fieldIndex(FieldName);
     if (FieldIdx < 0)
-      return fail("class " + ClassName + " has no field '" + FieldName + "'");
+      return fail("class " + std::string(ClassName) + " has no field '" +
+                  std::string(FieldName) + "'");
     I.ClassId = ClassId;
     I.FieldIdx = FieldIdx;
     return true;
@@ -429,10 +446,10 @@ private:
   bool parseLabelRef(int &Target) {
     if (!peek().is(TokKind::Ident))
       return fail("expected a label");
-    std::string Name = next().Text;
+    std::string_view Name = next().Text;
     auto It = BlockIds.find(Name);
     if (It == BlockIds.end())
-      return fail("unknown label '" + Name + "'");
+      return fail("unknown label '" + std::string(Name) + "'");
     Target = It->second;
     return true;
   }
@@ -440,10 +457,10 @@ private:
   bool parseLocalRef(Instr &I) {
     if (!peek().is(TokKind::Ident))
       return fail("expected a local name");
-    std::string Name = next().Text;
+    std::string_view Name = next().Text;
     int Idx = F->localIndex(Name);
     if (Idx < 0)
-      return fail("unknown local '" + Name + "'");
+      return fail("unknown local '" + std::string(Name) + "'");
     I.LocalIdx = Idx;
     return true;
   }
@@ -473,9 +490,9 @@ private:
     }
     if (!peek().is(TokKind::Ident))
       return fail("expected an opcode");
-    std::string Op = next().Text;
+    std::string_view Op = next().Text;
 
-    static const std::unordered_map<std::string, Opcode> OpMap = {
+    static const std::unordered_map<std::string_view, Opcode> OpMap = {
         {"mov", Opcode::Mov},
         {"add", Opcode::Add},
         {"sub", Opcode::Sub},
@@ -516,7 +533,7 @@ private:
     };
     auto It = OpMap.find(Op);
     if (It == OpMap.end())
-      return fail("unknown opcode '" + Op + "'");
+      return fail("unknown opcode '" + std::string(Op) + "'");
     I.Op = It->second;
 
     switch (I.Op) {
@@ -566,10 +583,10 @@ private:
     case Opcode::NewObj: {
       if (!peek().is(TokKind::Ident))
         return fail("expected class name");
-      std::string ClassName = next().Text;
+      std::string_view ClassName = next().Text;
       I.ClassId = M.classIndex(ClassName);
       if (I.ClassId < 0)
-        return fail("unknown class '" + ClassName + "'");
+        return fail("unknown class '" + std::string(ClassName) + "'");
       break;
     }
     case Opcode::GetField:
@@ -592,10 +609,10 @@ private:
     case Opcode::Call: {
       if (!peek().is(TokKind::Ident))
         return fail("expected function name");
-      std::string Callee = next().Text;
+      std::string_view Callee = next().Text;
       I.CalleeIdx = M.functionIndex(Callee);
       if (I.CalleeIdx < 0)
-        return fail("unknown function '" + Callee + "'");
+        return fail("unknown function '" + std::string(Callee) + "'");
       if (!expect(TokKind::LParen, "'('"))
         return false;
       while (!peek().is(TokKind::RParen)) {
@@ -649,6 +666,7 @@ private:
 bool tmir::parseModule(const std::string &Text, Module &M,
                        std::string &Error) {
   std::vector<Token> Toks;
+  Toks.reserve(Text.size() / 4);
   Lexer Lex(Text, Error);
   if (!Lex.run(Toks))
     return false;

@@ -16,10 +16,18 @@ using namespace otm::tmir;
 
 namespace {
 
+/// Per-register work arrays, reused across the functions of a module.
+struct VerifierScratch {
+  std::vector<uint8_t> Defined;
+  std::vector<int> MovSrc;
+  std::vector<int> Chain;
+};
+
 class FunctionVerifier {
 public:
-  FunctionVerifier(Module &M, Function &F, std::string &Error)
-      : M(M), F(F), Error(Error) {}
+  FunctionVerifier(Module &M, Function &F, std::string &Error,
+                   VerifierScratch &Scratch)
+      : M(M), F(F), Error(Error), Scratch(Scratch) {}
 
   bool run() {
     if (F.Blocks.empty())
@@ -61,12 +69,20 @@ private:
     return true;
   }
 
-  /// Computes the type of every register from its unique definition.
-  /// Iterates to a fixpoint because a Mov may copy a register whose
-  /// definition appears in a later block.
+  /// Computes the type of every register from its unique definition, in
+  /// one pass over the instructions plus a walk along mov chains: only a
+  /// register-to-register mov takes its type from another register, whose
+  /// definition may come later in the function. A mov chain that ends in
+  /// a cycle of movs, or in a register never defined, stays void.
   bool inferDefTypes() {
-    F.RegTypes.assign(F.RegNames.size(), Type::makeVoid());
-    std::vector<bool> Defined(F.RegNames.size(), false);
+    std::size_t NumRegs = F.RegNames.size();
+    F.RegTypes.assign(NumRegs, Type::makeVoid());
+    std::vector<uint8_t> &Defined = Scratch.Defined;
+    Defined.assign(NumRegs, 0);
+    // Source register of each register defined by a register mov whose
+    // type is not known yet, else -1.
+    std::vector<int> &MovSrc = Scratch.MovSrc;
+    MovSrc.assign(NumRegs, -1);
     for (std::unique_ptr<BasicBlock> &BB : F.Blocks)
       for (Instr &I : BB->Instrs) {
         if (I.ResultReg < 0)
@@ -76,21 +92,31 @@ private:
         if (Defined[I.ResultReg])
           return failIn(*BB, "register %" + F.RegNames[I.ResultReg] +
                                  " defined more than once");
-        Defined[I.ResultReg] = true;
+        Defined[I.ResultReg] = 1;
+        if (I.Op == Opcode::Mov && I.Operands[0].isReg())
+          MovSrc[I.ResultReg] = I.Operands[0].regId();
+        else
+          F.RegTypes[I.ResultReg] = resultType(I);
       }
-    bool Changed = true;
-    while (Changed) {
-      Changed = false;
-      for (std::unique_ptr<BasicBlock> &BB : F.Blocks)
-        for (Instr &I : BB->Instrs) {
-          if (I.ResultReg < 0)
-            continue;
-          Type NewTy = resultType(I);
-          if (NewTy != F.RegTypes[I.ResultReg]) {
-            F.RegTypes[I.ResultReg] = NewTy;
-            Changed = true;
-          }
-        }
+    std::vector<int> &Chain = Scratch.Chain;
+    for (std::size_t R = 0; R < NumRegs; ++R) {
+      if (MovSrc[R] < 0)
+        continue;
+      // Follow the chain to a register whose type is known, marking each
+      // visited mov (MovSrc = -2) so a cycle stops the walk.
+      Chain.clear();
+      int Cur = static_cast<int>(R);
+      while (MovSrc[Cur] >= 0) {
+        Chain.push_back(Cur);
+        int Next = MovSrc[Cur];
+        MovSrc[Cur] = -2;
+        Cur = Next;
+      }
+      Type Ty = MovSrc[Cur] == -2 ? Type::makeVoid() : F.RegTypes[Cur];
+      for (int C : Chain) {
+        F.RegTypes[C] = Ty;
+        MovSrc[C] = -1;
+      }
     }
     // Every used register must have a definition somewhere.
     for (std::unique_ptr<BasicBlock> &BB : F.Blocks)
@@ -313,13 +339,15 @@ private:
   Module &M;
   Function &F;
   std::string &Error;
+  VerifierScratch &Scratch;
 };
 
 } // namespace
 
 bool tmir::verifyModule(Module &M, std::string &Error) {
+  VerifierScratch Scratch;
   for (std::unique_ptr<Function> &F : M.Functions) {
-    FunctionVerifier V(M, *F, Error);
+    FunctionVerifier V(M, *F, Error, Scratch);
     if (!V.run())
       return false;
   }
