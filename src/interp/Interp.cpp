@@ -24,6 +24,7 @@
 #include "obs/TraceRing.h"
 #include "stm/Stm.h"
 #include "support/Compiler.h"
+#include "tmir/IntSemantics.h"
 #include "tmir/Verifier.h"
 #include "txn/RetryExecutor.h"
 

@@ -7,6 +7,7 @@
 #include "passes/ConstFold.h"
 
 #include "obs/Statistic.h"
+#include "tmir/IntSemantics.h"
 
 #include <optional>
 
@@ -16,27 +17,25 @@ using namespace otm::tmir;
 
 namespace {
 
-/// Evaluates a pure binary operation over two immediates. Returns nothing
-/// for trapping cases (division by zero stays in the program).
+/// Evaluates a pure binary operation over two immediates with the
+/// interpreter's semantics (tmir/IntSemantics.h). Returns nothing for
+/// trapping cases (division by zero stays in the program).
 std::optional<int64_t> evaluate(Opcode Op, int64_t A, int64_t B) {
   switch (Op) {
   case Opcode::Add:
-    return static_cast<int64_t>(static_cast<uint64_t>(A) +
-                                static_cast<uint64_t>(B));
+    return wrapAdd(A, B);
   case Opcode::Sub:
-    return static_cast<int64_t>(static_cast<uint64_t>(A) -
-                                static_cast<uint64_t>(B));
+    return wrapSub(A, B);
   case Opcode::Mul:
-    return static_cast<int64_t>(static_cast<uint64_t>(A) *
-                                static_cast<uint64_t>(B));
+    return wrapMul(A, B);
   case Opcode::Div:
     if (B == 0)
       return std::nullopt;
-    return A / B;
+    return divNonZero(A, B);
   case Opcode::Rem:
     if (B == 0)
       return std::nullopt;
-    return A % B;
+    return remNonZero(A, B);
   case Opcode::And:
     return A & B;
   case Opcode::Or:
@@ -44,9 +43,9 @@ std::optional<int64_t> evaluate(Opcode Op, int64_t A, int64_t B) {
   case Opcode::Xor:
     return A ^ B;
   case Opcode::Shl:
-    return static_cast<int64_t>(static_cast<uint64_t>(A) << (B & 63));
+    return shiftLeft(A, B);
   case Opcode::Shr:
-    return static_cast<int64_t>(static_cast<uint64_t>(A) >> (B & 63));
+    return shiftRight(A, B);
   case Opcode::CmpEq:
     return A == B;
   case Opcode::CmpNe:

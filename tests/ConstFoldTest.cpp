@@ -11,6 +11,7 @@
 #include "passes/LowerAtomic.h"
 #include "passes/OpenElim.h"
 #include "passes/Pass.h"
+#include "passes/Pipeline.h"
 #include "passes/SimplifyCFG.h"
 #include "tmir/Parser.h"
 #include "tmir/Verifier.h"
@@ -184,4 +185,89 @@ join:
   verifyModuleOrDie(M);
   EXPECT_EQ(M.Functions[0]->Blocks.size(), 4u)
       << "multi-predecessor join must not merge";
+}
+
+//===----------------------------------------------------------------------===
+// Integer semantics shared with the interpreter (tmir/IntSemantics.h)
+//===----------------------------------------------------------------------===
+
+namespace {
+
+struct OverflowCase {
+  const char *Op;
+  const char *A;
+  const char *B;
+  int64_t Expected;
+};
+
+// Each case wraps, or hits INT64_MIN / -1, or shifts by a masked amount.
+const OverflowCase OverflowCases[] = {
+    {"add", "9223372036854775807", "1", INT64_MIN},
+    {"add", "-9223372036854775808", "-1", INT64_MAX},
+    {"sub", "-9223372036854775808", "1", INT64_MAX},
+    {"sub", "0", "-9223372036854775808", INT64_MIN},
+    {"mul", "9223372036854775807", "2", -2},
+    {"mul", "-9223372036854775808", "-1", INT64_MIN},
+    {"mul", "4611686018427387904", "4", 0},
+    {"div", "-9223372036854775808", "-1", INT64_MIN},
+    {"rem", "-9223372036854775808", "-1", 0},
+    {"div", "7", "-1", -7},
+    {"rem", "7", "-1", 0},
+    {"div", "-7", "2", -3},
+    {"rem", "-7", "2", -1},
+    {"shl", "1", "64", 1},
+    {"shl", "1", "63", INT64_MIN},
+    {"shr", "-1", "63", 1},
+    {"shr", "-8", "65", INT64_MAX - 3},
+};
+
+int64_t runWithArgs(Module &M, const char *Name, std::vector<int64_t> Args) {
+  Interpreter::Options O;
+  O.Mode = Interpreter::TxMode::IgnoreAtomic;
+  Interpreter I(M, O);
+  Interpreter::RunResult R = I.run(Name, Args);
+  EXPECT_FALSE(R.Trapped) << R.Error;
+  return R.Value;
+}
+
+} // namespace
+
+TEST(ConstFold, OverflowFoldsToTheInterpretedValue) {
+  for (const OverflowCase &C : OverflowCases) {
+    std::string What = std::string(C.Op) + " " + C.A + ", " + C.B;
+    // The same operation twice: on immediates (folded at compile time) and
+    // on parameters (computed by the interpreter).
+    Module M = parsed(std::string("func folded(): i64 {\nentry:\n  %r = ") +
+                      C.Op + " " + C.A + ", " + C.B +
+                      "\n  ret %r\n}\n"
+                      "func computed(a: i64, b: i64): i64 {\nentry:\n"
+                      "  %a = loadlocal a\n  %b = loadlocal b\n  %r = " +
+                      C.Op + " %a, %b\n  ret %r\n}\n");
+    ConstFoldPass Fold;
+    EXPECT_TRUE(Fold.run(M)) << What;
+    verifyModuleOrDie(M);
+    const Instr &Folded = M.functionByName("folded")->Blocks[0]->Instrs[0];
+    ASSERT_EQ(Folded.Op, Opcode::Mov) << What;
+    ASSERT_TRUE(Folded.Operands[0].isImm()) << What;
+    int64_t A = std::stoll(C.A), B = std::stoll(C.B);
+    EXPECT_EQ(Folded.Operands[0].immValue(), C.Expected) << What;
+    EXPECT_EQ(runWithArgs(M, "computed", {A, B}), C.Expected) << What;
+    EXPECT_EQ(runWithArgs(M, "folded", {}), C.Expected) << What;
+  }
+}
+
+TEST(ConstFold, MinDivMinusOneThroughThePipeline) {
+  // INT64_MIN / -1 once killed the compiler itself with SIGFPE.
+  Module M = parsed(R"(
+func f(): i64 {
+entry:
+  %m = sub -9223372036854775807, 1
+  %q = div %m, -1
+  %r = rem %m, -1
+  %s = add %q, %r
+  ret %s
+}
+)");
+  passes::lowerAndOptimize(M, passes::OptConfig::all());
+  EXPECT_EQ(runF(M, "f"), INT64_MIN);
 }

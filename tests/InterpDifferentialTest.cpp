@@ -193,3 +193,68 @@ entry:
     expectSameBehavior(TrapProgram, "main", 7, Mode, OptConfig::none(), 0,
                        "div-by-zero-trap");
 }
+
+TEST(InterpDifferential, IntegerOverflowMatchesFolding) {
+  // Wrapping add/sub/mul, INT64_MIN / -1 and INT64_MIN % -1, and masked
+  // shifts. ONE is 1 either way: loaded from the parameter, every operation
+  // runs in the interpreter; as an immediate, the optimizer folds them all
+  // and the interpreter only prints constants. Both must print the same.
+  const std::string Program = R"(
+func main(n: i64): i64 {
+entry:
+  %one = ONE
+  %max = sub 9223372036854775807, 0
+  %min = sub -9223372036854775807, %one
+  %m1 = sub 0, %one
+  %a = add %max, %one
+  print %a
+  %s = sub %min, %one
+  print %s
+  %m = mul %max, 3
+  print %m
+  %d = div %min, %m1
+  print %d
+  %r = rem %min, %m1
+  print %r
+  %sh = shl %one, 65
+  print %sh
+  %sr = shr %min, 127
+  print %sr
+  ret %d
+}
+)";
+  auto WithOne = [&](const char *One) {
+    std::string Text = Program;
+    Text.replace(Text.find("ONE"), 3, One);
+    return Text;
+  };
+  const std::string Computed = WithOne("loadlocal n");
+  const std::string Folded = WithOne("mov 1");
+
+  const std::vector<int64_t> Expected = {INT64_MIN, INT64_MAX, INT64_MAX - 2,
+                                         INT64_MIN, 0,         2,
+                                         1};
+  for (Interpreter::TxMode Mode : AllModes) {
+    EngineSample C =
+        runEngine(Computed.c_str(), "main", 1, Interpreter::Dispatch::Switch,
+                  Mode, OptConfig::none(), 0);
+    EngineSample F =
+        runEngine(Folded.c_str(), "main", 1, Interpreter::Dispatch::Switch,
+                  Mode, OptConfig::all(), 0);
+    EXPECT_FALSE(C.R.Trapped) << modeName(Mode) << ": " << C.R.Error;
+    EXPECT_EQ(C.Printed, Expected) << modeName(Mode);
+    EXPECT_EQ(F.Printed, C.Printed) << modeName(Mode);
+    EXPECT_EQ(F.R.Value, C.R.Value) << modeName(Mode);
+    if (Interpreter::threadedDispatchAvailable())
+      expectSameBehavior(Computed.c_str(), "main", 1, Mode, OptConfig::none(),
+                         0, "int-overflow");
+  }
+
+  // Folding really happened: the optimized module has no arithmetic left.
+  Module M = parseModuleOrDie(Folded);
+  verifyModuleOrDie(M);
+  lowerAndOptimize(M, OptConfig::all());
+  for (const std::unique_ptr<BasicBlock> &BB : M.Functions[0]->Blocks)
+    for (const Instr &I : BB->Instrs)
+      EXPECT_FALSE(isBinaryArith(I.Op)) << printInstr(M, *M.Functions[0], I);
+}
