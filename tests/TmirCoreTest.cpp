@@ -123,6 +123,124 @@ entry:
   EXPECT_NE(Error.find("no field 'y'"), std::string::npos);
 }
 
+TEST(Parser, ErrorMessagesAreExact) {
+  // The full "line N: message" text of each kind of parse error.
+  struct Case {
+    const char *Text;
+    const char *Message;
+  };
+  const Case Cases[] = {
+      {"func f() {\nentry:\n  ret\n}\n#", "line 5: unexpected character '#'"},
+      {"klass P { }", "line 1: expected 'class' or 'func'"},
+      {"class P { x: i64 }\nclass P { y: i64 }",
+       "line 2: duplicate class P"},
+      {"func f() {\nentry:\n  ret\n}\nfunc f() {\nentry:\n  ret\n}",
+       "line 5: duplicate function f"},
+      {"class P { x: Q }", "line 1: unknown type 'Q'"},
+      {"class P { x: i64, x: i64 }", "line 1: duplicate field 'x'"},
+      {"func f() {\nentry:\n  ret\nentry:\n  ret\n}",
+       "line 4: duplicate label 'entry'"},
+      {"func f() {\n  ret\n}", "line 2: function has no blocks"},
+      {"func f() {\n  ret\nentry:\n  ret\n}",
+       "line 2: instruction before first label"},
+      {"func f() {\nentry:\n  br nowhere\n}",
+       "line 4: unknown label 'nowhere'"},
+      {"func f() {\nentry:\n  storelocal v, 1\n  ret\n}",
+       "line 3: unknown local 'v'"},
+      {"func f() {\nentry:\n  %x = newobj Q\n  ret\n}",
+       "line 4: unknown class 'Q'"},
+      {"func f() {\nentry:\n  call g()\n  ret\n}",
+       "line 3: unknown function 'g'"},
+      {"class P { x: i64 }\nfunc f(p: P) {\nentry:\n  %o = loadlocal p\n"
+       "  %v = getfield %o, P.y\n  ret\n}",
+       "line 6: class P has no field 'y'"},
+      {"func f() {\nentry:\n  frobnicate 1\n  ret\n}",
+       "line 3: unknown opcode 'frobnicate'"},
+      {"func f() {\nentry:\n  %x = add 1 2\n  ret\n}",
+       "line 3: expected ','"},
+      {"func f() {\nentry:\n  %x = add 1, ,\n  ret\n}",
+       "line 3: expected a value"},
+      {"func f() {\nentry:\n  ret\n", "line 4: unexpected end of input in "
+                                      "function body"},
+  };
+  for (const Case &C : Cases) {
+    Module M;
+    std::string Error;
+    EXPECT_FALSE(parseModule(C.Text, M, Error)) << C.Text;
+    EXPECT_EQ(Error, C.Message) << C.Text;
+  }
+}
+
+TEST(Parser, IntegerLiteralsCoverTheI64Range) {
+  Module M = parseAndVerify(R"(
+func f(): i64 {
+entry:
+  %a = mov 9223372036854775807
+  %b = mov -9223372036854775808
+  %c = add %a, %b
+  ret %c
+}
+)");
+  const std::vector<Instr> &Instrs = M.Functions[0]->Blocks[0]->Instrs;
+  EXPECT_EQ(Instrs[0].Operands[0].immValue(), INT64_MAX);
+  EXPECT_EQ(Instrs[1].Operands[0].immValue(), INT64_MIN);
+}
+
+TEST(Parser, RejectsOutOfRangeIntegerLiterals) {
+  // One past each end of the i64 range, and far beyond: an error naming
+  // the line and the literal, never a silently saturated value.
+  const char *Literals[] = {"9223372036854775808", "-9223372036854775809",
+                            "123456789012345678901234567890"};
+  for (const char *Lit : Literals) {
+    Module M;
+    std::string Error;
+    std::string Text = "func f(): i64 {\nentry:\n  %a = mov 1\n  %b = add %a, " +
+                       std::string(Lit) + "\n  ret %b\n}\n";
+    EXPECT_FALSE(parseModule(Text, M, Error)) << Lit;
+    EXPECT_EQ(Error, "line 4: integer literal " + std::string(Lit) +
+                         " is out of the i64 range");
+  }
+}
+
+TEST(Verifier, InfersTypesThroughMovChains) {
+  // %a copies %b, which copies %o, defined in a later block; the chain
+  // resolves to the object type. %p and %q only copy each other: a cycle
+  // with no source type stays void.
+  Module M;
+  std::string Error;
+  ASSERT_TRUE(parseModule(R"(
+class P { x: i64 }
+func f(p: P): i64 {
+entry:
+  br second
+first:
+  %a = mov %b
+  %v = getfield %a, P.x
+  ret %v
+second:
+  %o = loadlocal p
+  %b = mov %o
+  %p = mov %q
+  %q = mov %p
+  br first
+}
+)",
+                          M, Error))
+      << Error;
+  ASSERT_TRUE(verifyModule(M, Error)) << Error;
+  const Function &F = *M.Functions[0];
+  auto TypeOf = [&](const char *Name) {
+    for (int R = 0; R < F.numRegs(); ++R)
+      if (F.RegNames[R] == Name)
+        return F.RegTypes[R];
+    return Type::makeI64();
+  };
+  EXPECT_EQ(TypeOf("a"), Type::makeObj(0));
+  EXPECT_EQ(TypeOf("b"), Type::makeObj(0));
+  EXPECT_TRUE(TypeOf("p").isVoid());
+  EXPECT_TRUE(TypeOf("q").isVoid());
+}
+
 TEST(Verifier, RejectsMissingTerminator) {
   Module M;
   std::string Error;
