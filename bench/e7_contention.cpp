@@ -77,10 +77,12 @@ void runCell(unsigned WritePercent, unsigned HotSet, BenchReport &Report,
         // run on a single-core host).
         if (Role.nextPercent(10))
           std::this_thread::yield();
-        int64_t V = A->Value.load() + B->Value.load();
+        // The values grow without bound over a long run: add modulo 2^64.
+        uint64_t V = static_cast<uint64_t>(A->Value.load()) +
+                     static_cast<uint64_t>(B->Value.load());
         if (Writer) {
           Tx.logUndo(&A->Value);
-          A->Value.store(V + 1);
+          A->Value.store(static_cast<int64_t>(V + 1));
         }
       });
     }

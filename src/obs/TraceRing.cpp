@@ -136,12 +136,11 @@ TraceRing *TraceRing::forCurrentThread() {
   return Ring;
 }
 
-TraceRing *TraceRing::createDetached(std::size_t CapacityPow2) {
+std::unique_ptr<TraceRing>
+TraceRing::createDetached(std::size_t CapacityPow2) {
   Registry &R = registry();
   std::lock_guard<std::mutex> Lock(R.M);
-  auto *New = new TraceRing(R.NextOrd++, CapacityPow2);
-  R.Rings.push_back(New);
-  return New;
+  return std::unique_ptr<TraceRing>(new TraceRing(R.NextOrd++, CapacityPow2));
 }
 
 std::vector<TraceRing *> TraceRing::allRings() {

@@ -27,6 +27,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -112,9 +113,9 @@ public:
   /// Registered rings, for export and tests.
   static std::vector<TraceRing *> allRings();
 
-  /// Creates and registers a ring detached from the thread-local lookup
-  /// (test hook; the returned ring is owned by the registry and leaked).
-  static TraceRing *createDetached(std::size_t CapacityPow2);
+  /// Creates a ring outside the thread-local lookup and the export
+  /// registry (test hook; the caller owns the ring).
+  static std::unique_ptr<TraceRing> createDetached(std::size_t CapacityPow2);
 
 private:
   std::vector<TraceEvent> Slots;

@@ -70,7 +70,7 @@ bool TxManager::validate() {
   // not the log, so a large read set takes a dependent cache miss per
   // entry that the prefetch overlaps with the current compare.
   bool Ok = true;
-  obs::PhaseScope Ph(Obs.Sampling, Stats.PhaseValidateCycles);
+  obs::PhaseScope Ph(Obs.Sampling, &Stats.PhaseValidateCycles);
   ReadLog.forEachChunkArray([&](ReadEntry *Data, std::size_t N) {
     if (!Ok)
       return;
@@ -169,7 +169,7 @@ bool TxManager::tryCommit() {
   // exclusively ours, so each release makes one update atomically visible.
   // Read-only transactions skip the (out-of-line) release walk entirely.
   if (!UpdateLog.empty()) {
-    obs::PhaseScope Ph(Obs.Sampling, Stats.PhaseWriteBackCycles);
+    obs::PhaseScope Ph(Obs.Sampling, &Stats.PhaseWriteBackCycles);
 #if OTM_MVCC
     // Take the commit stamp only now: validation has succeeded and nothing
     // can abort this transaction anymore, so every stamp the clock hands
@@ -275,7 +275,7 @@ WordValue TxManager::waitForUnowned(TxObject *Obj) {
   // CmWait nests inside the Open scope of the barrier that called us, so
   // PhaseOpenCycles already contains this time; the separate histogram
   // isolates how much of the open barrier was arbitration.
-  obs::PhaseScope Ph(Obs.Sampling, Stats.PhaseCmWaitCycles);
+  obs::PhaseScope Ph(Obs.Sampling, &Stats.PhaseCmWaitCycles);
   for (unsigned Round = 0;; ++Round) {
     if (!isOwned(W))
       return W;
@@ -333,7 +333,7 @@ void TxManager::boostAcquireKey(uint64_t ContainerId, uint64_t Key) {
   constexpr unsigned RoundSpins = 32;
   const unsigned BudgetRounds =
       (ActiveConfig.ConflictSpins + RoundSpins - 1) / RoundSpins;
-  obs::PhaseScope Ph(Obs.Sampling, Stats.PhaseCmWaitCycles);
+  obs::PhaseScope Ph(Obs.Sampling, &Stats.PhaseCmWaitCycles);
   bool CountedWait = false;
   for (unsigned Round = 0;;) {
     txn::CmTxState *Blocker = nullptr;
@@ -416,7 +416,7 @@ void TxManager::boostAcquireStructural(uint64_t ContainerId) {
   constexpr unsigned RoundSpins = 32;
   const unsigned BudgetRounds =
       (ActiveConfig.ConflictSpins + RoundSpins - 1) / RoundSpins;
-  obs::PhaseScope Ph(Obs.Sampling, Stats.PhaseCmWaitCycles);
+  obs::PhaseScope Ph(Obs.Sampling, &Stats.PhaseCmWaitCycles);
   // Phase 1: claim the gate, arbitrating against a rival structural owner.
   bool CountedWait = false;
   for (unsigned Round = 0;;) {

@@ -76,7 +76,7 @@ bool WTxManager::tryCommit() {
   {
     // CommitLock covers the whole acquisition loop, stripe waits included;
     // an abort inside the loop records the partial scope on the way out.
-    obs::PhaseScope LockPh(Obs.Sampling, Stats.PhaseCommitLockCycles);
+    obs::PhaseScope LockPh(Obs.Sampling, &Stats.PhaseCommitLockCycles);
     for (VersionedLock *Lock : LockOrder) {
       uint64_t Saved;
       unsigned Round = 0;
@@ -126,7 +126,7 @@ bool WTxManager::tryCommit() {
   // Phase 2: advance the clock and validate the read set.
   uint64_t WriteVersion = clock().fetch_add(1, std::memory_order_acq_rel) + 1;
   if (WriteVersion != ReadVersion + 1) { // else nothing else committed
-    obs::PhaseScope ValidatePh(Obs.Sampling, Stats.PhaseValidateCycles);
+    obs::PhaseScope ValidatePh(Obs.Sampling, &Stats.PhaseValidateCycles);
     bool Valid = true;
     VersionedLock *FirstBad = nullptr;
     uint64_t FirstBadWord = 0;
@@ -160,7 +160,7 @@ bool WTxManager::tryCommit() {
 
   // Phase 3: write back and release with the new version.
   {
-    obs::PhaseScope WriteBackPh(Obs.Sampling, Stats.PhaseWriteBackCycles);
+    obs::PhaseScope WriteBackPh(Obs.Sampling, &Stats.PhaseWriteBackCycles);
     Writes.applyAll();
     for (VersionedLock *Lock : LockOrder)
       Lock->unlockToVersion(WriteVersion);

@@ -105,7 +105,7 @@ TEST(TraceRingTest, WrapAroundUnderConcurrentWriters) {
   constexpr std::size_t Capacity = 1 << 8;
   constexpr unsigned NumThreads = 4;
   constexpr unsigned PerThread = 1000; // 4000 records into 256 slots
-  TraceRing *Ring = TraceRing::createDetached(Capacity);
+  std::unique_ptr<TraceRing> Ring = TraceRing::createDetached(Capacity);
   ASSERT_NE(Ring, nullptr);
   EXPECT_EQ(Ring->capacity(), Capacity);
 
@@ -133,7 +133,7 @@ TEST(TraceRingTest, WrapAroundUnderConcurrentWriters) {
 }
 
 TEST(TraceRingTest, SnapshotBeforeWrapKeepsOrder) {
-  TraceRing *Ring = TraceRing::createDetached(1 << 8);
+  std::unique_ptr<TraceRing> Ring = TraceRing::createDetached(1 << 8);
   for (int I = 0; I < 10; ++I)
     Ring->record(EventKind::TxBegin, nullptr, uint16_t(I));
   std::vector<TraceEvent> Events = Ring->snapshot();
