@@ -121,18 +121,6 @@ public:
   /// An empty fact set sized for this table.
   BitVector emptySet() const { return BitVector(Keys.size()); }
 
-  /// The number of \p Key, or -1 when no instruction generates it.
-  int find(uint64_t Key) const {
-    if (Key == 0 || Slots.empty())
-      return -1;
-    for (std::size_t S = slotOf(Key);; S = (S + 1) & (Slots.size() - 1)) {
-      if (Slots[S] == Key)
-        return SlotBits[S];
-      if (Slots[S] == 0)
-        return -1;
-    }
-  }
-
   void insert(BitVector &Facts, uint64_t Key) const {
     int Bit = find(Key);
     if (Bit >= 0)
@@ -158,6 +146,18 @@ public:
 
 private:
   void build(int NumRegs, std::vector<uint64_t> &Found);
+
+  /// The number of \p Key, or -1 when no instruction generates it.
+  int find(uint64_t Key) const {
+    if (Key == 0 || Slots.empty())
+      return -1;
+    for (std::size_t S = slotOf(Key);; S = (S + 1) & (Slots.size() - 1)) {
+      if (Slots[S] == Key)
+        return SlotBits[S];
+      if (Slots[S] == 0)
+        return -1;
+    }
+  }
 
   std::size_t slotOf(uint64_t Key) const {
     return static_cast<std::size_t>((Key * 0x9E3779B97F4A7C15ull) >> Shift);

@@ -78,10 +78,7 @@ bool OpenElimPass::run(Module &M) {
     auto Transfer = [&T](BitVector &Facts, const Instr &I) {
       transferOpen(T, Facts, I);
     };
-    // Without numbered facts only barriers on null can go; skip the solve.
-    std::vector<BitVector> In =
-        T.size() ? solveForward(F, T, Transfer)
-                 : std::vector<BitVector>(F.Blocks.size());
+    std::vector<BitVector> In = solveForward(F, T, Transfer);
     for (std::unique_ptr<BasicBlock> &BB : F.Blocks) {
       BitVector &Facts = In[BB->Id];
       std::vector<Instr> &Instrs = BB->Instrs;

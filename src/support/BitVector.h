@@ -42,16 +42,11 @@ public:
       W[I] = 0;
   }
 
-  /// Union-into; returns true when this vector grew.
-  bool unionWith(const BitVector &O) {
+  void unionWith(const BitVector &O) {
     uint64_t *W = words();
     const uint64_t *OW = O.words();
-    uint64_t Grew = 0;
-    for (uint32_t I = 0; I < NumWords; ++I) {
-      Grew |= OW[I] & ~W[I];
+    for (uint32_t I = 0; I < NumWords; ++I)
       W[I] |= OW[I];
-    }
-    return Grew != 0;
   }
 
   void intersectWith(const BitVector &O) {

@@ -316,7 +316,8 @@ public:
   /// loops, atomic regions), built on first use and shared by every pass
   /// until invalidateCfg(). A pass that adds, removes or reorders blocks,
   /// changes a terminator or moves a region marker to another block must
-  /// call invalidateCfg() before the next query.
+  /// call invalidateCfg() before the next query. Not thread-safe: the
+  /// first query builds the cache.
   const CfgInfo &cfg() const;
   void invalidateCfg();
 

@@ -38,27 +38,33 @@ LivenessInfo tmir::computeLiveness(const Function &F) {
   LI.LocalIn.assign(N, BitVector(NumLocals));
   LI.LocalOut.assign(N, BitVector(NumLocals));
 
+  // Scratch sets, reused for every block: assignment between equally
+  // sized vectors keeps their storage.
+  BitVector RegOut(NumRegs), LocalOut(NumLocals);
+  BitVector Regs(NumRegs), Locals(NumLocals);
   bool Changed = true;
   while (Changed) {
     Changed = false;
     for (std::size_t BI = N; BI > 0; --BI) {
       std::size_t B = BI - 1;
       // OUT = union of successor INs (may-analysis).
-      BitVector RegOut(NumRegs), LocalOut(NumLocals);
+      RegOut.resetAll();
+      LocalOut.resetAll();
       for (int S : F.Blocks[B]->successors()) {
         RegOut.unionWith(LI.RegIn[S]);
         LocalOut.unionWith(LI.LocalIn[S]);
       }
-      BitVector Regs = RegOut, Locals = LocalOut;
+      Regs = RegOut;
+      Locals = LocalOut;
       const std::vector<Instr> &Instrs = F.Blocks[B]->Instrs;
       for (std::size_t I = Instrs.size(); I > 0; --I)
         transferBackward(Instrs[I - 1], Regs, Locals);
-      if (!(RegOut == LI.RegOut[B]) || !(LocalOut == LI.LocalOut[B]) ||
-          !(Regs == LI.RegIn[B]) || !(Locals == LI.LocalIn[B])) {
-        LI.RegOut[B] = std::move(RegOut);
-        LI.LocalOut[B] = std::move(LocalOut);
-        LI.RegIn[B] = std::move(Regs);
-        LI.LocalIn[B] = std::move(Locals);
+      if (RegOut != LI.RegOut[B] || LocalOut != LI.LocalOut[B] ||
+          Regs != LI.RegIn[B] || Locals != LI.LocalIn[B]) {
+        LI.RegOut[B] = RegOut;
+        LI.LocalOut[B] = LocalOut;
+        LI.RegIn[B] = Regs;
+        LI.LocalIn[B] = Locals;
         Changed = true;
       }
     }

@@ -466,6 +466,7 @@ private:
   }
 
   bool parseOperands(Instr &I, unsigned Count) {
+    I.Operands.reserve(I.Operands.size() + Count);
     for (unsigned N = 0; N < Count; ++N) {
       if (N && !expect(TokKind::Comma, "','"))
         return false;
