@@ -140,7 +140,8 @@ public:
 
   /// Removes every fact that mentions register \p Reg (as object or index).
   void killReg(BitVector &Facts, int Reg) const {
-    if (Reg < static_cast<int>(MaskOf.size()) && MaskOf[Reg] >= 0)
+    if (Reg >= 0 && Reg < static_cast<int>(MaskOf.size()) &&
+        MaskOf[Reg] >= 0)
       Facts.subtract(Masks[MaskOf[Reg]]);
   }
 

@@ -60,9 +60,11 @@ bool runOnFunction(Function &F) {
       switch (I.Op) {
       case Opcode::LoadLocal:
         if (SlotBlock[I.LocalIdx] == Id) {
-          Replacement[I.ResultReg] = SlotValue[I.LocalIdx];
+          if (I.ResultReg >= 0)
+            Replacement[I.ResultReg] = SlotValue[I.LocalIdx];
           Drop = true; // the redundant load
-        } else {
+        } else if (I.ResultReg >= 0) {
+          // A load without a result gives later loads nothing to reuse.
           SlotValue[I.LocalIdx] = Value::reg(I.ResultReg);
           SlotBlock[I.LocalIdx] = Id;
         }

@@ -969,6 +969,34 @@ next:
 )");
 }
 
+TEST(DataflowEdgeCases, InstructionsWithoutResultsAreTolerated) {
+  // The verifier accepts loads and allocations whose result is dropped;
+  // the passes must neither forward through them nor index by register -1.
+  Module M = parsed(R"(
+class P { x: i64 }
+func f(p: P): i64 {
+  var tmp: P
+entry:
+  atomic_begin
+  newobj P
+  %n = newobj P
+  storelocal tmp, %n
+  loadlocal tmp
+  %t = loadlocal tmp
+  loadlocal p
+  %o = loadlocal p
+  %v = getfield %o, P.x
+  setfield %t, P.x, %v
+  atomic_end
+  ret %v
+}
+)");
+  lowerAndOptimize(M, OptConfig::all());
+  verifyModuleOrDie(M);
+  // Only the read of the shared %o keeps a barrier; %t is fresh.
+  EXPECT_EQ(countBarriers(M).total(), 1u);
+}
+
 //===----------------------------------------------------------------------===
 // OpenLicm
 //===----------------------------------------------------------------------===
