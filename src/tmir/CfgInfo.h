@@ -11,11 +11,11 @@
 /// region membership.
 ///
 /// Lifetime: the cache lives until Function::invalidateCfg(). Passes that
-/// only rewrite, insert or delete non-terminator instructions inside blocks
-/// (lowering, CSE, DCE, open elimination, upgrading, alloc elision) keep it;
-/// passes that add, remove or reorder blocks, change a terminator, or move
-/// a region marker into another block (inlining, CFG simplification,
-/// branch folding, preheader creation) invalidate it. Debug builds check
+/// keep every block, branch target and region marker's block (lowering,
+/// CSE, DCE, open elimination, upgrading, alloc elision) keep it; passes
+/// that add, remove or reorder blocks, retarget a branch, or move a region
+/// marker into another block (inlining, CFG simplification, branch
+/// folding, preheader creation) invalidate it. Debug builds check
 /// on every query that the cached predecessor lists still match the
 /// function.
 ///
