@@ -47,6 +47,14 @@ template <typename Policy> class RBTree {
   static constexpr int64_t Red = 1;
 
   struct Node : Policy::ObjBase {
+    Node() = default;
+    /// A fresh node starts as a black leaf on the sentinel, never with null
+    /// links. The naive policy undo-logs a fresh node's initializing stores,
+    /// so an abort puts these constructor values back while the node may
+    /// still be reachable by a doomed reader through a since-undone link;
+    /// that reader must find a well-formed leaf, not a null child.
+    explicit Node(Node *Nil) : Left(Nil), Right(Nil), Parent(Nil) {}
+
     Cell<int64_t> Key;
     Cell<int64_t> Value;
     Cell<int64_t> Color;
@@ -269,7 +277,7 @@ private:
         Policy::checkpoint(C);
     }
 
-    Node *Fresh = Policy::template create<Node>(C);
+    Node *Fresh = Policy::template create<Node>(C, &Nil);
     Policy::initStore(C, Fresh, Fresh->Key, Key);
     Policy::initStore(C, Fresh, Fresh->Value, Value);
     Policy::initStore(C, Fresh, Fresh->Color, Red);
