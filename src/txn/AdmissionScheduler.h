@@ -119,6 +119,9 @@ public:
     int32_t Slot = -1;
     uint32_t ClassId = 0;
     bool Waited = false;
+    /// Position in the shard's slot-grant order (1, 2, ...; 0 without a
+    /// slot). Lets tests check FIFO grants without racing on wake-ups.
+    uint64_t GrantSeq = 0;
   };
 
   /// Admission decision for one transaction of \p ClassId with footprint
@@ -180,6 +183,7 @@ private:
     const TxSummary *S = nullptr;
     uint32_t ClassId = 0;
     int32_t GrantedSlot = -1;
+    uint64_t GrantSeq = 0;
   };
 
   struct Shard {
@@ -188,6 +192,7 @@ private:
     InFlight Slots[SlotsPerShard];
     unsigned ActiveCount = 0;
     std::deque<Waiter *> Queue;
+    uint64_t Grants = 0; ///< slots granted so far (numbers GrantSeq)
   };
 
   /// Per-class adaptive gate: a sliding window of release feedback plus
@@ -270,6 +275,7 @@ public:
     int32_t Slot = -1;
     uint32_t ClassId = 0;
     bool Waited = false;
+    uint64_t GrantSeq = 0;
   };
 
   Ticket admit(uint32_t, const TxSummary &) { return {}; }

@@ -333,10 +333,15 @@ TEST_F(SchedulerFixture, StrictFifoNoOvertaking) {
   auto TA = Sched().admit(7, A);
   ASSERT_GE(TA.Slot, 0);
 
+  // B and C are compatible, so one release grants both and their threads
+  // wake in either order: the grant order comes from the scheduler's
+  // sequence numbers, not from flags set after admit() returns.
   std::atomic<bool> BAdmitted{false}, CAdmitted{false};
+  uint64_t BSeq = 0, CSeq = 0;
   std::thread WaitB([&] {
     auto T = Sched().admit(7, B);
     BAdmitted.store(true);
+    BSeq = T.GrantSeq;
     EXPECT_GE(T.Slot, 0);
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     Sched().release(T, 0);
@@ -344,9 +349,8 @@ TEST_F(SchedulerFixture, StrictFifoNoOvertaking) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20)); // B parks
   std::thread WaitC([&] {
     auto T = Sched().admit(7, C);
-    // C may only be admitted after B (the head) was granted.
-    EXPECT_TRUE(BAdmitted.load());
     CAdmitted.store(true);
+    CSeq = T.GrantSeq;
     EXPECT_GE(T.Slot, 0);
     Sched().release(T, 0);
   });
@@ -356,6 +360,9 @@ TEST_F(SchedulerFixture, StrictFifoNoOvertaking) {
   Sched().release(TA, 0); // drains B, then C, in order
   WaitB.join();
   WaitC.join();
+  // C may only be admitted after B (the head) was granted.
+  EXPECT_GT(BSeq, TA.GrantSeq);
+  EXPECT_GT(CSeq, BSeq);
 }
 
 TEST_F(SchedulerFixture, AdaptiveGateFlipsUnderAbortStorm) {

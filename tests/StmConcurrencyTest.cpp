@@ -235,17 +235,20 @@ TEST(StmConcurrency, StarvedReaderCommitsThroughSerialFallback) {
   TxManager::config().SerialFallbackAfter = 8; // escalate quickly
   std::vector<Counter> Counters(NumCounters);
   std::atomic<bool> Done{false};
+  std::atomic<uint64_t> WriterCommits{0};
   txn::CmStatsSnapshot Before = txn::CmStats::instance().snapshot();
 
   std::vector<std::thread> Writers;
   for (int W = 0; W < NumWriters; ++W)
     Writers.emplace_back([&, W] {
       Xoshiro256 Rng(4200 + W);
-      while (!Done.load(std::memory_order_acquire))
+      while (!Done.load(std::memory_order_acquire)) {
         Stm::atomic([&](TxManager &Tx) {
           Counter &C = Counters[Rng.nextBelow(NumCounters)];
           Tx.write(&C, &Counter::Value, Tx.read(&C, &Counter::Value) + 1);
         });
+        WriterCommits.fetch_add(1, std::memory_order_acq_rel);
+      }
     });
 
   int64_t Sum = -1;
@@ -257,6 +260,19 @@ TEST(StmConcurrency, StarvedReaderCommitsThroughSerialFallback) {
       for (Counter &C : Counters) {
         S += Tx.read(&C, &Counter::Value);
         std::this_thread::yield(); // let writers commit mid-scan
+      }
+      // A loaded machine may not schedule any writer during the scan. While
+      // the retry budget lasts, wait until some writer has begun and
+      // committed a whole transaction after the scan read every counter:
+      // NumWriters + 1 further commits mean one writer committed twice, and
+      // its second commit overwrote a counter already in the read set. From
+      // the serial attempt on, the writers are drained and nothing is
+      // awaited.
+      if (Attempts <= TxManager::config().SerialFallbackAfter) {
+        const uint64_t Seen = WriterCommits.load(std::memory_order_acquire);
+        while (WriterCommits.load(std::memory_order_acquire) <
+               Seen + NumWriters + 1)
+          std::this_thread::yield();
       }
       Sum = S;
     });
